@@ -23,8 +23,9 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config, parse_value
 from .grids import Grid1, interp_linear
-from .harness import (RefinementStudy, format_records, run_spatial_study,
-                      run_temporal_study, write_records_csv)
+from .harness import (RefinementStudy, error_norms_1d, format_records,
+                      observed_order, run_spatial_study, run_temporal_study,
+                      write_records_csv)
 from .linsolve import SolverError
 from .reduced1d import (characteristic_derivative_check, diffusion_stencil_check,
                         manufactured_problem, run1d)
@@ -116,10 +117,9 @@ def _verify_lines():
     for n in (16, 32, 64, 128):
         g = Grid1(n)
         w, m, _ = run1d(g, coeffs, w_ex(g.x, 0.0), m_ex(g.x, 0.0), T, dt=g.h)
-        ew = np.sqrt(np.sum((w - w_ex(g.x, T)) ** 2) * g.h)
-        em = np.sqrt(np.sum((m - m_ex(g.x, T)) ** 2) * g.h)
-        errs.append(ew + em)
-    orders = [float(np.log2(errs[k] / errs[k + 1])) for k in range(3)]
+        errs.append(error_norms_1d(g, w, w_ex(g.x, T))[0]
+                    + error_norms_1d(g, m, m_ex(g.x, T))[0])
+    orders = [observed_order(errs[k], errs[k + 1]) for k in range(3)]
     yield ("manufactured convergence",
            "orders " + " ".join(f"{o:.3f}" for o in orders),
            all(0.8 <= o <= 1.3 for o in orders))

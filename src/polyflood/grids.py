@@ -95,6 +95,18 @@ class Grid2:
         return np.meshgrid(self.x, self.y)
 
     @cached_property
+    def trapezoid_weights(self):
+        """Per-direction node weights (wx, wy): 1 inside, 1/2 on the walls.
+
+        The trapezoidal control area of node (i, j) is wx[i]*wy[j]*hx*hy.
+        """
+        wx = np.ones(self.nx + 1)
+        wx[0] = wx[-1] = 0.5
+        wy = np.ones(self.ny + 1)
+        wy[0] = wy[-1] = 0.5
+        return wx, wy
+
+    @cached_property
     def triangles(self) -> np.ndarray:
         """P1 triangulation, each cell split along its anti-diagonal.
 
@@ -131,13 +143,6 @@ class Field:
                 f"field shape {self.data.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("field contains non-finite values")
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy(), self.label)
-
-    @classmethod
-    def full(cls, grid, value, label="") -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)), label)
 
 
 def _check_unit_range(u, name):

@@ -31,7 +31,7 @@ from .simulate import run_simulation
 __all__ = [
     "ErrorRecord", "RefinementStudy",
     "restrict_to_coarse", "error_norms", "error_norms_1d", "observed_order",
-    "detect_breakthrough", "run_spatial_study", "run_temporal_study",
+    "run_spatial_study", "run_temporal_study",
     "write_records_csv", "format_records",
 ]
 
@@ -83,14 +83,6 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
     return float(np.log2(e_coarse / e_fine))
 
 
-def detect_breakthrough(times, values, threshold: float, t_stop: float) -> float:
-    """First time the monitored series exceeds the threshold, else t_stop."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    hit = np.nonzero(values > threshold)[0]
-    return float(times[hit[0]]) if hit.size else float(t_stop)
-
-
 @dataclass(frozen=True)
 class RefinementStudy:
     """Description of one refinement study over a shared base config.
@@ -137,39 +129,29 @@ def _timed_run(cfg: RunConfig, **kw):
     return result, time.perf_counter() - tic
 
 
-def run_spatial_study(study: RefinementStudy) -> list[ErrorRecord]:
-    """Errors and orders for s, p, and velocity under grid refinement."""
-    if study.mode != "spatial":
-        raise ConfigError("run_spatial_study wants a spatial-mode study")
-    base = study.base
-    ref_cfg = replace(base, N=int(study.reference), out="")
-    ref, _ = _timed_run(ref_cfg)
+def _run_study(study: RefinementStudy, errors) -> list[ErrorRecord]:
+    """Shared driver: reference run, t*, the level loop and the orders.
+
+    errors(state, ref_state) maps each recorded variable to its (e2, emax)
+    pair at one level.
+    """
+    vary, cast = ("N", int) if study.mode == "spatial" else ("dt", float)
+    ref, _ = _timed_run(replace(study.base, out="",
+                                **{vary: cast(study.reference)}))
     t_star = ref.summary.breakthrough_time
     if t_star is None:
         t_star = ref.summary.final_time
-    ref_grid = ref.state.grid
 
-    per_var: dict[str, list[ErrorRecord]] = {"s": [], "p": [], "v": []}
-    for n in study.levels:
-        cfg = replace(base, N=int(n), out="")
+    per_var: dict[str, list[ErrorRecord]] = {}
+    for level in study.levels:
+        cfg = replace(study.base, out="", **{vary: cast(level)})
         result, wall = _timed_run(cfg, stop_at_breakthrough=False, t_end=t_star)
-        grid = result.state.grid
-        for var in ("s", "p"):
-            e2, emax = error_norms(getattr(result.state, var), grid,
-                                   getattr(ref.state, var), ref_grid)
-            per_var[var].append(ErrorRecord(var, grid.hx, cfg.dt, e2, emax,
-                                            time=wall))
-        # velocity: norms of the pointwise vector difference
-        dvx = result.state.vx - restrict_to_coarse(ref.state.vx, ref_grid, grid)
-        dvy = result.state.vy - restrict_to_coarse(ref.state.vy, ref_grid, grid)
-        dmag = np.hypot(dvx, dvy)
-        e2 = float(np.sqrt(np.sum(dmag ** 2) * grid.hx * grid.hy))
-        per_var["v"].append(ErrorRecord("v", grid.hx, cfg.dt, e2,
-                                        float(dmag.max()), time=wall))
+        for var, (e2, emax) in errors(result.state, ref.state).items():
+            per_var.setdefault(var, []).append(ErrorRecord(
+                var, result.state.grid.hx, cfg.dt, e2, emax, time=wall))
 
     records = []
-    for var in ("s", "p", "v"):
-        rows = per_var[var]
+    for rows in per_var.values():
         for k, row in enumerate(rows):
             if k > 0:
                 row.order2 = observed_order(rows[k - 1].e2, row.e2)
@@ -178,33 +160,33 @@ def run_spatial_study(study: RefinementStudy) -> list[ErrorRecord]:
     return records
 
 
+def run_spatial_study(study: RefinementStudy) -> list[ErrorRecord]:
+    """Errors and orders for s, p, and velocity under grid refinement."""
+    if study.mode != "spatial":
+        raise ConfigError("run_spatial_study wants a spatial-mode study")
+
+    def errors(state, ref):
+        grid = state.grid
+        out = {var: error_norms(getattr(state, var), grid,
+                                getattr(ref, var), ref.grid)
+               for var in ("s", "p")}
+        # velocity: norms of the pointwise vector difference
+        dvx = state.vx - restrict_to_coarse(ref.vx, ref.grid, grid)
+        dvy = state.vy - restrict_to_coarse(ref.vy, ref.grid, grid)
+        dmag = np.hypot(dvx, dvy)
+        e2 = float(np.sqrt(np.sum(dmag ** 2) * grid.hx * grid.hy))
+        out["v"] = (e2, float(dmag.max()))
+        return out
+
+    return _run_study(study, errors)
+
+
 def run_temporal_study(study: RefinementStudy) -> list[ErrorRecord]:
     """Saturation errors and rates under time-step refinement at fixed h."""
     if study.mode != "temporal":
         raise ConfigError("run_temporal_study wants a temporal-mode study")
-    base = study.base
-    ref_cfg = replace(base, dt=float(study.reference), out="")
-    ref, _ = _timed_run(ref_cfg)
-    t_star = ref.summary.breakthrough_time
-    if t_star is None:
-        t_star = ref.summary.final_time
-    ref_grid = ref.state.grid
-
-    records = []
-    prev = None
-    for dt in study.levels:
-        cfg = replace(base, dt=float(dt), out="")
-        result, wall = _timed_run(cfg, stop_at_breakthrough=False, t_end=t_star)
-        e2, emax = error_norms(result.state.s, result.state.grid,
-                               ref.state.s, ref_grid)
-        row = ErrorRecord("s", result.state.grid.hx, float(dt), e2, emax,
-                          time=wall)
-        if prev is not None:
-            row.order2 = observed_order(prev.e2, row.e2)
-            row.orderinf = observed_order(prev.emax, row.emax)
-        records.append(row)
-        prev = row
-    return records
+    return _run_study(study, lambda state, ref: {
+        "s": error_norms(state.s, state.grid, ref.s, ref.grid)})
 
 
 def _fmt(value, spec=".6e"):

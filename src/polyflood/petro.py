@@ -165,6 +165,5 @@ class PetroModel:
         Nonpositive for K >= 0 since dpc_ds <= 0; transport schemes assemble
         with |D| on their diffusive faces.
         """
-        _, lam_o, lam_t = self.mobilities(s, c)
-        f = self.fractional_flow(s, c)
-        return K * lam_o * f * self.dpc_ds(s)
+        lam_a, lam_o, lam_t = self.mobilities(s, c)
+        return K * lam_o * (lam_a / lam_t) * self.dpc_ds(s)

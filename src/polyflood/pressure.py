@@ -8,10 +8,12 @@ with no-flow (homogeneous Neumann) walls and a balanced pair of corner
 point sources: injection +Q at (0, 0), production -Q at (1, 1).  Each grid
 cell is split along its anti-diagonal into two P1 triangles, and the
 element coefficient K*lam is taken as the arithmetic mean of its three
-vertex values.  The assembled operator is symmetric positive semidefinite
-with the constant null vector; the solve pins the pressure to zero at the
-production corner and runs preconditioned conjugate gradients on the
-reduced system.
+vertex values.  Assembly is per edge: every grid edge sums the stiffness
+of its two neighbouring triangles into one face coefficient, and the
+anti-diagonal split couples no diagonal neighbours, so the operator is a
+5-point one.  It is symmetric positive semidefinite with the constant null
+vector; the solve pins the pressure to zero at the production corner and
+runs preconditioned conjugate gradients on the reduced system.
 
 The total velocity v = -K lam grad p is recovered from the P1 solution
 triangle by triangle and averaged to nodes, which is the field the
@@ -23,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Grid2
-from .linsolve import SparseSystem, solve_cg
+from .linsolve import SparseSystem, five_point, solve_cg
 
 __all__ = ["WellConfig", "node_areas", "injection_density",
            "assemble_pressure", "solve_pressure", "recover_velocity"]
@@ -57,17 +58,9 @@ class WellConfig:
             raise ValueError("well radius must lie in [0, 0.5]")
 
 
-def _nodal(values):
-    # accept a Field or a bare array at module boundaries
-    return np.asarray(getattr(values, "data", values), dtype=float)
-
-
 def node_areas(grid: Grid2) -> np.ndarray:
     """Trapezoidal control area of every node (boundary nodes own less)."""
-    wx = np.ones(grid.nx + 1)
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny + 1)
-    wy[0] = wy[-1] = 0.5
+    wx, wy = grid.trapezoid_weights
     return np.outer(wy, wx) * (grid.hx * grid.hy)
 
 
@@ -100,27 +93,9 @@ def injection_density(grid: Grid2, wells: WellConfig | None) -> np.ndarray:
     return _bump_density(grid, 0.0, 0.0, wells.radius, wells.rate)
 
 
-def _element_geometry(grid: Grid2):
-    """Reference stiffness blocks for the two triangle orientations."""
-    hx, hy = grid.hx, grid.hy
-    area = hx * hy / 2.0
-    gx2, gy2 = 1.0 / hx ** 2, 1.0 / hy ** 2
-    lower = area * np.array([
-        [gx2 + gy2, -gx2, -gy2],
-        [-gx2, gx2, 0.0],
-        [-gy2, 0.0, gy2],
-    ])
-    upper = area * np.array([
-        [gy2, -gy2, 0.0],
-        [-gy2, gx2 + gy2, -gx2],
-        [0.0, -gx2, gx2],
-    ])
-    return lower, upper
-
-
 def _element_coefficients(grid: Grid2, s, c, model, K):
     """Per-triangle K*lam, the arithmetic mean of the three vertex values."""
-    _, _, lam = model.mobilities(_nodal(s), _nodal(c))
+    _, _, lam = model.mobilities(s, c)
     coef = (np.asarray(K, dtype=float) * lam).ravel()
     tris = grid.triangles
     coef_tri = coef[tris].mean(axis=1)
@@ -131,21 +106,29 @@ def _element_coefficients(grid: Grid2, s, c, model, K):
 
 def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
                       K=1.0) -> SparseSystem:
-    """Assemble the pure-Neumann pressure system with corner well sources."""
-    tris = grid.triangles
+    """Assemble the pure-Neumann pressure system with corner well sources.
+
+    A horizontal edge is the bottom edge of a lower triangle and the top
+    edge of the upper triangle below it; a vertical edge is the left edge
+    of a lower triangle and the right edge of the upper triangle to its
+    left.  Each edge sums the stiffness coupling of those two triangles.
+    """
     coef_tri = _element_coefficients(grid, s, c, model, K)
-    lower, upper = _element_geometry(grid)
-    blocks = np.empty((tris.shape[0], 3, 3))
-    blocks[0::2] = lower
-    blocks[1::2] = upper
-    blocks *= coef_tri[:, None, None]
+    lower = coef_tri[0::2].reshape(grid.ny, grid.nx)
+    upper = coef_tri[1::2].reshape(grid.ny, grid.nx)
+    # within one triangle an x edge couples its end nodes by area/hx^2
+    # times the element coefficient, a y edge by area/hy^2
+    area = grid.hx * grid.hy / 2.0
+    kx, ky = area * (1.0 / grid.hx ** 2), area * (1.0 / grid.hy ** 2)
+    fx = np.zeros((grid.ny + 1, grid.nx))
+    fx[:-1] += kx * lower
+    fx[1:] += kx * upper
+    fy = np.zeros((grid.ny, grid.nx + 1))
+    fy[:, :-1] += ky * lower
+    fy[:, 1:] += ky * upper
+    A = five_point(grid, fx, fy)
 
-    rows = np.broadcast_to(tris[:, :, None], blocks.shape)
-    cols = np.broadcast_to(tris[:, None, :], blocks.shape)
     n = grid.nnodes
-    A = sparse.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=(n, n)).tocsr()
-
     rhs = np.zeros(n)
     if wells is not None and wells.rate != 0.0:
         if wells.radius == 0.0:
@@ -175,7 +158,7 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     b_red = system.rhs[keep]
     guess = None
     if x0 is not None:
-        x0 = _nodal(x0).ravel()
+        x0 = np.ravel(x0)
         guess = x0[keep] - x0[pin]
     x_red = solve_cg(A_red, b_red, tol=tol, max_iter=max_iter, x0=guess)
     p = np.zeros(n)
@@ -192,7 +175,7 @@ def recover_velocity(grid: Grid2, p, s, c, model, K=1.0):
     """
     coef_tri = _element_coefficients(grid, s, c, model, K)
     tris = grid.triangles
-    pv = _nodal(p).ravel()[tris]
+    pv = np.ravel(p)[tris]
     hx, hy = grid.hx, grid.hy
 
     gx = np.empty(tris.shape[0])

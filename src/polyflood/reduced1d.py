@@ -92,8 +92,6 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     main[-1] += 2.0 * Dabs[-1] / h ** 2
     upper = -Dabs / h ** 2                   # A[i, i+1], i = 0..n-1
     lower = -Dabs / h ** 2                   # A[i+1, i], i = 0..n-1
-    upper = upper.copy()
-    lower = lower.copy()
     upper[0] *= 2.0
     lower[-1] *= 2.0
     ab = np.zeros((3, n + 1))

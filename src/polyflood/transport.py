@@ -29,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Grid2, clamp_to_unit, interp_bilinear
-from .linsolve import solve_cg
-from .pressure import WellConfig, injection_density
+from .linsolve import five_point, solve_cg
+from .pressure import WellConfig, injection_density, node_areas
 
 __all__ = [
     "State", "StepParams",
@@ -112,15 +111,6 @@ def trace_feet_concentration(state: State, s_new, model, params: StepParams):
     return clamp_to_unit(X - scale * ax), clamp_to_unit(Y - scale * ay)
 
 
-def _half_cell_weights(grid: Grid2):
-    # trapezoidal node weights: boundary rows and columns own half a cell
-    wx = np.ones(grid.nx + 1)
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny + 1)
-    wy[0] = wy[-1] = 0.5
-    return wx, wy
-
-
 def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     """One implicit MMOC saturation update; returns the clamped new field.
 
@@ -151,29 +141,14 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
         sigma = injection_density(grid, params.wells)
         rhs_density += (1.0 - model.fractional_flow(state.s, state.c)) * sigma
 
-    wx, wy = _half_cell_weights(grid)
-    area = np.outer(wy, wx) * (hx * hy)
-
-    n = grid.nnodes
-    ids = np.arange(n).reshape(grid.shape)
+    wx, wy = grid.trapezoid_weights
+    area = node_areas(grid)
 
     # one coefficient per face, shared by both endpoint rows; dividing a
     # boundary row by its half-cell area reproduces the ghost doubling
     cfx_face = (Dabs_x / hx ** 2) * (wy[:, None] * hx * hy)
     cfy_face = (Dabs_y / hy ** 2) * (wx[None, :] * hx * hy)
-
-    L = ids[:, :-1].ravel()
-    R = ids[:, 1:].ravel()
-    B = ids[:-1, :].ravel()
-    T = ids[1:, :].ravel()
-    fx = cfx_face.ravel()
-    fy = cfy_face.ravel()
-
-    diag = (phi / dt) * area.ravel()
-    rows = np.concatenate([np.arange(n), L, R, L, R, B, T, B, T])
-    cols = np.concatenate([np.arange(n), L, R, R, L, B, T, T, B])
-    vals = np.concatenate([diag, fx, fx, -fx, -fx, fy, fy, -fy, -fy])
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A = five_point(grid, cfx_face, cfy_face, mass=(phi / dt) * area)
 
     rhs = (rhs_density * area).ravel()
     s_new = solve_cg(A, rhs, tol=params.lin_tol, max_iter=params.lin_maxiter,

@@ -120,7 +120,7 @@ def test_field_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         Field(g, bad)
-    f = Field.full(g, 0.21, label="s")
+    f = Field(g, np.full(g.shape, 0.21), label="s")
     assert f.data.shape == g.shape and f.label == "s"
 
 

@@ -9,7 +9,7 @@ from polyflood.grids import Grid1, Grid2
 from polyflood.harness import (
     ErrorRecord, RefinementStudy,
     restrict_to_coarse, error_norms, error_norms_1d, observed_order,
-    detect_breakthrough, write_records_csv, format_records,
+    write_records_csv, format_records,
 )
 
 
@@ -83,15 +83,6 @@ def test_observed_order_rejects_nonpositive():
     for pair in [(0.0, 1e-3), (1e-3, 0.0), (-1e-3, 1e-3)]:
         with pytest.raises(ValueError):
             observed_order(*pair)
-
-
-def test_detect_breakthrough():
-    times = [0.1, 0.2, 0.3, 0.4]
-    assert detect_breakthrough(times, [0.1, 0.2, 0.3, 0.4], 0.5, 1.0) == 1.0
-    assert detect_breakthrough(times, [0.6, 0.7, 0.8, 0.9], 0.5, 1.0) == 0.1
-    assert detect_breakthrough(times, [0.1, 0.2, 0.55, 0.4], 0.5, 1.0) == 0.3
-    # exact equality is not a crossing
-    assert detect_breakthrough(times, [0.5, 0.5, 0.5, 0.5], 0.5, 1.0) == 1.0
 
 
 def test_study_validation():

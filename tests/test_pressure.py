@@ -7,10 +7,11 @@ system.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from polyflood import PetroModel
 from polyflood.grids import Grid2
-from polyflood.linsolve import SparseSystem, SolverError, solve_cg
+from polyflood.linsolve import SparseSystem, SolverError, five_point, solve_cg
 from polyflood.pressure import (
     WellConfig, assemble_pressure, solve_pressure, recover_velocity,
 )
@@ -49,8 +50,9 @@ def random_state(grid, seed=0):
     return s, c
 
 
-def test_assembly_matches_scalar_oracle():
-    g = Grid2(2, 2)
+@pytest.mark.parametrize("g", [Grid2(2, 2), Grid2(4, 3), Grid2(3, 5)],
+                         ids=["2x2", "4x3", "3x5"])
+def test_assembly_matches_scalar_oracle(g):
     s, c = random_state(g, seed=4)
     sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0), K=2.0)
     lam = MODEL.mobilities(s, c)[2]
@@ -84,6 +86,25 @@ def test_interior_rows_are_five_point():
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 expect[g.node_id(i + di, j + dj)] = -1.0
             assert np.allclose(row, expect, rtol=0, atol=1e-13)
+
+
+def test_five_point_rows_do_not_wrap():
+    # the +-1 diagonals run across row ends; node (nx, j) must not couple
+    # to (0, j+1), and every face must reach both of its rows
+    g = Grid2(4, 3)
+    rng = np.random.default_rng(5)
+    fx = rng.uniform(1.0, 2.0, (g.ny + 1, g.nx))
+    fy = rng.uniform(1.0, 2.0, (g.ny, g.nx + 1))
+    A = five_point(g, fx, fy, mass=0.5).toarray()
+    for j in range(g.ny):
+        assert A[g.node_id(g.nx, j), g.node_id(0, j + 1)] == 0.0
+        assert A[g.node_id(0, j + 1), g.node_id(g.nx, j)] == 0.0
+    assert A[g.node_id(1, 2), g.node_id(2, 2)] == -fx[2, 1]
+    assert A[g.node_id(3, 1), g.node_id(3, 2)] == -fy[1, 3]
+    assert np.array_equal(A, A.T)
+    assert np.allclose(A.sum(axis=1), 0.5, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        five_point(g, fy, fx)
 
 
 def test_well_sources_balanced():
@@ -145,6 +166,22 @@ def test_solver_failure_carries_residual():
     with pytest.raises(SolverError) as err:
         solve_pressure(sys, g, tol=1e-15, max_iter=2)
     assert err.value.residual > 0.0
+
+
+def test_nonfinite_rhs_raises_at_once():
+    g = Grid2(4, 4)
+    s, c = random_state(g)
+    A = assemble_pressure(g, s, c, MODEL).matrix + sparse.identity(g.nnodes)
+    b = np.ones(g.nnodes)
+    bad = b.copy()
+    bad[3] = np.nan
+    with pytest.raises(SolverError) as err:
+        solve_cg(A, bad)
+    assert err.value.iterations <= 1
+    # a NaN guess poisons p.Ap, which counts as breakdown
+    with pytest.raises(SolverError) as err:
+        solve_cg(A, b, x0=bad)
+    assert err.value.iterations <= 1
 
 
 def uniform_unit_coefficient(grid):
@@ -211,7 +248,6 @@ def test_cg_on_spd_matrix():
     rng = np.random.default_rng(8)
     B = rng.normal(size=(30, 30))
     A = B @ B.T + 30.0 * np.eye(30)
-    from scipy import sparse
     A = sparse.csr_matrix(A)
     x_true = rng.normal(size=30)
     x = solve_cg(A, A @ x_true, tol=1e-12)
