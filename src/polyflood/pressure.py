@@ -12,8 +12,9 @@ vertex values.  Assembly is per edge: every grid edge sums the stiffness
 of its two neighbouring triangles into one face coefficient, and the
 anti-diagonal split couples no diagonal neighbours, so the operator is a
 5-point one.  It is symmetric positive semidefinite with the constant null
-vector; the solve pins the pressure to zero at the production corner and
-runs preconditioned conjugate gradients on the reduced system.
+vector; the solve pins the pressure to zero at the production corner, in
+place, and runs multigrid-preconditioned conjugate gradients on the pinned
+system.
 
 The total velocity v = -K lam grad p is recovered from the P1 solution
 triangle by triangle and averaged to nodes, which is the field the
@@ -22,12 +23,13 @@ characteristic tracing in the transport step consumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Grid2
-from .linsolve import SparseSystem, five_point, solve_cg
+from .linsolve import SparseSystem, five_point, multigrid, solve_cg
 
 __all__ = ["WellConfig", "node_areas", "injection_density",
            "assemble_pressure", "solve_pressure", "recover_velocity"]
@@ -64,10 +66,18 @@ def node_areas(grid: Grid2) -> np.ndarray:
     return np.outer(wy, wx) * (grid.hx * grid.hy)
 
 
-def _bump_density(grid: Grid2, cx: float, cy: float, radius: float,
+@functools.lru_cache(maxsize=16)
+def _bump_density(nx: int, ny: int, cx: float, cy: float, radius: float,
                   rate: float) -> np.ndarray:
-    """Nodal density of a cos^2 bump at (cx, cy), normalized so that the
-    area-weighted nodal sum equals the rate exactly."""
+    """Nodal density of a cos^2 bump at (cx, cy) on an nx-by-ny grid,
+    normalized so that the area-weighted nodal sum equals the rate exactly.
+
+    It depends on nothing that changes during a run, so it is computed
+    once per grid shape and well and handed out read-only.  The key is the
+    shape, not a Grid2, so the cache keeps no run's grid (and the
+    coordinates and triangles it caches) alive.
+    """
+    grid = Grid2(nx, ny)
     X, Y = grid.xy
     r = np.hypot(X - cx, Y - cy)
     shape = np.where(r < radius, np.cos(np.pi * r / (2.0 * radius)) ** 2, 0.0)
@@ -75,14 +85,17 @@ def _bump_density(grid: Grid2, cx: float, cy: float, radius: float,
     if weight <= 0.0:
         raise ValueError("well bump covers no grid node; enlarge the radius "
                          "or refine the grid")
-    return rate * shape / weight
+    density = rate * shape / weight
+    density.flags.writeable = False
+    return density
 
 
 def injection_density(grid: Grid2, wells: WellConfig | None) -> np.ndarray:
     """Nodal source density of the injection well (zero array if no well).
 
     Point wells keep the historical convention of a density Q/(hx*hy)
-    lumped to the corner node; distributed wells use the normalized bump.
+    lumped to the corner node; distributed wells use the normalized bump,
+    which is shared between calls and read-only.
     """
     sigma = np.zeros(grid.shape)
     if wells is None or wells.rate == 0.0:
@@ -90,7 +103,8 @@ def injection_density(grid: Grid2, wells: WellConfig | None) -> np.ndarray:
     if wells.radius == 0.0:
         sigma[0, 0] = wells.rate / (grid.hx * grid.hy)
         return sigma
-    return _bump_density(grid, 0.0, 0.0, wells.radius, wells.rate)
+    return _bump_density(grid.nx, grid.ny, 0.0, 0.0, wells.radius,
+                         wells.rate)
 
 
 def _element_coefficients(grid: Grid2, s, c, model, K):
@@ -136,8 +150,10 @@ def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
             rhs[grid.node_id(grid.nx, grid.ny)] -= wells.rate
         else:
             areas = node_areas(grid)
-            inj = _bump_density(grid, 0.0, 0.0, wells.radius, wells.rate)
-            prod = _bump_density(grid, 1.0, 1.0, wells.radius, wells.rate)
+            inj = _bump_density(grid.nx, grid.ny, 0.0, 0.0, wells.radius,
+                                wells.rate)
+            prod = _bump_density(grid.nx, grid.ny, 1.0, 1.0, wells.radius,
+                                 wells.rate)
             rhs += ((inj - prod) * areas).ravel()
         if abs(rhs.sum()) > 1e-12 * wells.rate:
             raise ValueError("well sources do not balance")
@@ -149,20 +165,26 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     """Solve the gauged system; returns nodal pressure of shape (ny+1, nx+1).
 
     The production corner is pinned to zero, which removes the constant
-    null space and fixes the gauge every caller shares.
+    null space and fixes the gauge every caller shares.  The pin stays in
+    place, on a copy of the matrix: that node's row and column are zeroed,
+    its diagonal set to 1 and its right-hand side to 0, so the system keeps
+    the grid's shape for the multigrid preconditioner.
     """
-    n = grid.nnodes
     pin = grid.node_id(grid.nx, grid.ny)
-    keep = np.arange(n) != pin
-    A_red = system.matrix[keep][:, keep]
-    b_red = system.rhs[keep]
+    A = system.matrix.tocsr(copy=True)
+    A.data[A.indices == pin] = 0.0
+    A.data[A.indptr[pin]:A.indptr[pin + 1]] = 0.0
+    A[pin, pin] = 1.0
+    b = np.array(system.rhs, dtype=float)
+    b[pin] = 0.0
     guess = None
     if x0 is not None:
-        x0 = np.ravel(x0)
-        guess = x0[keep] - x0[pin]
-    x_red = solve_cg(A_red, b_red, tol=tol, max_iter=max_iter, x0=guess)
-    p = np.zeros(n)
-    p[keep] = x_red
+        guess = np.ravel(x0) - np.ravel(x0)[pin]
+    p = solve_cg(A, b, tol=tol, max_iter=max_iter, x0=guess,
+                 M=multigrid(A, grid))
+    # the pinned equation is decoupled, so its exact solution is 0 whatever
+    # the preconditioner's coarse correction left there
+    p[pin] = 0.0
     return p.reshape(grid.shape)
 
 

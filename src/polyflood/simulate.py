@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .grids import Field, Grid2, write_field
+from .linsolve import SolverError
 from .pressure import assemble_pressure, recover_velocity, solve_pressure
 from .transport import State, StepParams, concentration_step, saturation_step
 
@@ -75,8 +76,11 @@ def init_state(cfg: RunConfig) -> State:
 def advance(state: State, cfg: RunConfig, model, wells, dt: float) -> State:
     """One full step: pressure solve, velocity recovery, both transports."""
     grid = state.grid
+    # the pressure system is dropped once solved, before transport builds
+    # its own system and multigrid hierarchy
     system = assemble_pressure(grid, state.s, state.c, model, wells, K=cfg.K)
     p = solve_pressure(system, grid, tol=cfg.pressure_tol, x0=state.p)
+    del system
     vx, vy = recover_velocity(grid, p, state.s, state.c, model, K=cfg.K)
 
     flow = State(grid, state.t, state.s, state.c, p, vx, vy)
@@ -105,7 +109,8 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
     records the first crossing time.  Studies advance to an exact common
     time instead by passing t_end and stop_at_breakthrough=False; the last
     step is shortened to land on it.  Failures dump the last consistent
-    state before propagating.
+    state before propagating; a step that fails a numerical check raises
+    SolverError.
     """
     model = cfg.petro()
     wells = cfg.wells() if cfg.Q > 0.0 else None
@@ -130,9 +135,14 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
         dt = min(cfg.dt, t_final - state.t)
         try:
             state = advance(state, cfg, model, wells, dt)
-        except Exception:
+        except Exception as err:
             if out_dir is not None:
                 _dump(state, out_dir, summary.steps)
+            # a step's own checks (coefficients, feet, denominators) raise
+            # ValueError; inside the loop they are numerical failures
+            if isinstance(err, (ValueError, ArithmeticError)):
+                raise SolverError(f"step {summary.steps + 1} from "
+                                  f"t = {state.t:.6g} failed: {err}") from err
             raise
         summary.steps += 1
         summary.observe(state, model)

@@ -12,7 +12,9 @@ Saturation feet follow the fractional-flow characteristic speed
 
 with half-node face coefficients |D| evaluated at the traced values, which
 keeps the matrix an M-matrix and the step unconditionally stable; no-flow
-walls enter by ghost reflection.  Concentration feet follow
+walls enter by ghost reflection.  The symmetric system is solved by
+conjugate gradients preconditioned with a multigrid V-cycle built from
+the same matrix.  Concentration feet follow
 ((f/s) v + (D/s) grad s) / phi and the reaction/source closure is a
 pointwise division, so the concentration update costs no linear solve.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2, clamp_to_unit, interp_bilinear
-from .linsolve import five_point, solve_cg
+from .linsolve import five_point, multigrid, solve_cg
 from .pressure import WellConfig, injection_density, node_areas
 
 __all__ = [
@@ -117,7 +119,8 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     The ghost-reflection equations are scaled by the trapezoidal node
     weights before assembly.  That leaves every nodal equation unchanged
     (it is a row scaling) but makes the matrix symmetric positive definite,
-    so conjugate gradients applies.
+    so conjugate gradients applies, with multigrid(A, grid) as its
+    preconditioner.
     """
     grid = state.grid
     hx, hy = grid.hx, grid.hy
@@ -152,7 +155,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
 
     rhs = (rhs_density * area).ravel()
     s_new = solve_cg(A, rhs, tol=params.lin_tol, max_iter=params.lin_maxiter,
-                     x0=state.s.ravel()).reshape(grid.shape)
+                     x0=state.s.ravel(), M=multigrid(A, grid)).reshape(grid.shape)
     return np.clip(s_new, model.s_ra, 1.0 - model.s_ro)
 
 

@@ -68,6 +68,20 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_numerical_failure_in_a_step_exits_3_with_a_dump(tmp_path, capsys):
+    # the oil mobility overflows to inf, which the pressure assembly rejects
+    cfg = tmp_path / "flood.cfg"
+    cfg.write_text("N = 8\nmu_o = 1e-320\ntstop = 0.1\n")
+    out = tmp_path / "fields"
+    with np.errstate(over="ignore"):
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: step 1 ") and err.count("\n") == 1
+    assert "K*lam" in err
+    assert (out / "s_000000.txt").exists()
+
+
 def test_spatial_study_writes_csv(tmp_path, capsys):
     code = cli.main(["study-spatial", "--levels", "4,8", "--reference", "16",
                      "--dt", "0.05", "--tstop", "0.1",

@@ -11,7 +11,8 @@ from scipy import sparse
 
 from polyflood import PetroModel
 from polyflood.grids import Grid2
-from polyflood.linsolve import SparseSystem, SolverError, five_point, solve_cg
+from polyflood.linsolve import (SparseSystem, SolverError, five_point,
+                                multigrid, solve_cg)
 from polyflood.pressure import (
     WellConfig, assemble_pressure, solve_pressure, recover_velocity,
 )
@@ -137,18 +138,26 @@ def test_pinned_system_positive_definite():
     assert eigs.min() > 0.0
 
 
-def test_solve_matches_dense_oracle():
-    g = Grid2(3, 3)
+@pytest.mark.parametrize("g", [Grid2(3, 3), Grid2(5, 7), Grid2(9, 6),
+                               Grid2(40, 23)],
+                         ids=["3x3", "5x7", "9x6", "40x23"])
+def test_solve_matches_dense_oracle(g):
+    # 40x23 has more nodes than the coarsest multigrid level, so its
+    # preconditioner is a two-level cycle, not an exact factor
     s, c = random_state(g, seed=2)
     sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=5.0))
-    p = solve_pressure(sys, g, tol=1e-13)
-    pin = g.node_id(3, 3)
-    keep = np.arange(g.nnodes) != pin
     A = sys.matrix.toarray()
+    rhs = sys.rhs.copy()
+    p = solve_pressure(sys, g, tol=1e-13)
+    pin = g.node_id(g.nx, g.ny)
+    keep = np.arange(g.nnodes) != pin
     expect = np.zeros(g.nnodes)
-    expect[keep] = np.linalg.solve(A[keep][:, keep], sys.rhs[keep])
+    expect[keep] = np.linalg.solve(A[keep][:, keep], rhs[keep])
     assert np.allclose(p.ravel(), expect, rtol=0, atol=1e-10)
     assert p[g.ny, g.nx] == 0.0
+    # the pin is applied to copies; the caller's system is untouched
+    assert np.array_equal(sys.matrix.toarray(), A)
+    assert np.array_equal(sys.rhs, rhs)
 
 
 def test_zero_rhs_gives_zero_pressure():
@@ -164,8 +173,60 @@ def test_solver_failure_carries_residual():
     s, c = random_state(g)
     sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
     with pytest.raises(SolverError) as err:
-        solve_pressure(sys, g, tol=1e-15, max_iter=2)
+        solve_pressure(sys, g, tol=1e-300, max_iter=1)
     assert err.value.residual > 0.0
+
+
+def spd_five_point(g, seed):
+    """Random-coefficient 5-point operator with a small mass term."""
+    rng = np.random.default_rng(seed)
+    fx = rng.uniform(0.1, 10.0, (g.ny + 1, g.nx))
+    fy = rng.uniform(0.1, 10.0, (g.ny, g.nx + 1))
+    return five_point(g, fx, fy, mass=1e-3)
+
+
+@pytest.mark.parametrize("g", [Grid2(12, 12), Grid2(40, 23), Grid2(33, 65)],
+                         ids=["12x12", "40x23", "33x65"])
+def test_multigrid_preconditioner_is_symmetric_positive(g):
+    M = multigrid(spd_five_point(g, seed=3), g)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        u, v = rng.normal(size=(2, g.nnodes))
+        uMu, vMv = u @ M(u), v @ M(v)
+        assert uMu > 0.0 and vMv > 0.0
+        assert abs(u @ M(v) - v @ M(u)) <= 1e-12 * np.sqrt(uMu * vMv)
+
+
+@pytest.mark.parametrize("g", [Grid2(8, 8), Grid2(40, 23)],
+                         ids=["one-level", "two-level"])
+def test_multigrid_rejects_broken_matrices(g):
+    A = spd_five_point(g, seed=6).tolil()
+    b = np.ones(g.nnodes)
+    middle = g.node_id(g.nx // 2, g.ny // 2)
+
+    nan_entry = A.copy()
+    nan_entry[middle, middle + 1] = nan_entry[middle + 1, middle] = np.nan
+    zero_diag = A.copy()
+    zero_diag[middle, middle] = 0.0
+    # positive diagonal, but shifted past the smallest eigenvalue
+    shift = 0.9 * A.diagonal().min()
+    indefinite = A - shift * sparse.identity(g.nnodes)
+    for bad in (nan_entry, zero_diag, indefinite):
+        bad = bad.tocsr()
+        with pytest.raises(SolverError) as err:
+            solve_cg(bad, b, M=multigrid(bad, g))
+        assert err.value.iterations <= 1
+    for bad in (nan_entry, zero_diag):
+        with pytest.raises(SolverError) as err:
+            solve_cg(bad.tocsr(), b)
+        assert err.value.iterations <= 1
+
+    s, c = random_state(g)
+    sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
+    sys.matrix.data[sys.matrix.indices == middle] = np.nan
+    with pytest.raises(SolverError) as err:
+        solve_pressure(sys, g)
+    assert err.value.iterations <= 1
 
 
 def test_nonfinite_rhs_raises_at_once():

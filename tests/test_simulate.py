@@ -5,6 +5,8 @@ sanity (bounds, monotone flood growth, breakthrough bookkeeping)."""
 import numpy as np
 import pytest
 
+import polyflood.pressure
+import polyflood.transport
 from polyflood.config import RunConfig
 from polyflood.simulate import init_state, run_simulation
 
@@ -90,3 +92,48 @@ def test_dumps_are_deterministic(tmp_path):
     assert "s_000000.txt" in names and "p_000003.txt" in names
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class CountingMatrix:
+    """Forwards what solve_cg uses of a matrix and counts the products."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+@pytest.mark.parametrize("cfg", [
+    *(RunConfig(N=n, tstop=0.04) for n in (16, 32, 33, 64, 128, 256)),
+    RunConfig(N=96, dt=0.2, well_radius=0.2),
+], ids=["N16", "N32", "N33", "N64", "N128", "N256", "longstep"])
+def test_solver_iterations_do_not_grow_with_n(cfg, monkeypatch):
+    # Jacobi-preconditioned CG took 160-660 pressure and 46-206 saturation
+    # iterations per solve over N = 32-128; the V-cycle keeps both flat
+    iterations = {"pressure": [], "saturation": []}
+
+    def counted(module, key):
+        solve = module.solve_cg
+
+        def wrapper(A, *args, **kwargs):
+            proxy = CountingMatrix(A)
+            try:
+                return solve(proxy, *args, **kwargs)
+            finally:
+                # one product forms the initial residual
+                iterations[key].append(proxy.products - 1)
+        monkeypatch.setattr(module, "solve_cg", wrapper)
+
+    counted(polyflood.pressure, "pressure")
+    counted(polyflood.transport, "saturation")
+    steps = run_simulation(cfg).summary.steps
+    assert steps >= 2
+    for key, counts in iterations.items():
+        assert len(counts) == steps, key
+        assert max(counts) <= 20, (key, counts)
