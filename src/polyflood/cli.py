@@ -75,34 +75,27 @@ def _numeric(text: str) -> float:
     return value
 
 
-def _parse_levels(text: str, kind: str):
-    values = tuple(_numeric(v) for v in text.split(","))
-    if kind == "spatial":
-        bad = [v for v in values if v != int(v)]
-        if bad:
-            raise ConfigError(f"grid sizes must be integers, got {bad}")
-        return tuple(int(v) for v in values)
-    return tuple(float(v) for v in values)
+def _study_value(text: str, mode: str):
+    """One study level or reference: a grid size or a time step."""
+    value = _numeric(text)
+    if mode == "temporal":
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"grid sizes must be integers, got {text.strip()}")
+    return int(value)
 
 
 def _cmd_study(args, mode: str) -> int:
     cfg = _load_config(args)
-    if mode == "spatial":
-        levels = _parse_levels(args.levels, "spatial")
-        reference = int(_numeric(args.reference))
-        study = RefinementStudy("spatial", levels, reference, cfg)
-        records = run_spatial_study(study)
-        name = "spatial_study.csv"
-    else:
-        levels = _parse_levels(args.levels, "temporal")
-        reference = float(_numeric(args.reference))
-        study = RefinementStudy("temporal", levels, reference, cfg)
-        records = run_temporal_study(study)
-        name = "temporal_study.csv"
+    levels = tuple(_study_value(v, mode) for v in args.levels.split(","))
+    reference = _study_value(args.reference, mode)
+    study = RefinementStudy(mode, levels, reference, cfg)
+    run = run_spatial_study if mode == "spatial" else run_temporal_study
+    records = run(study)
     print(format_records(records))
     out_dir = Path(args.out if args.out else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / name
+    csv_path = out_dir / f"{mode}_study.csv"
     write_records_csv(csv_path, records)
     print(f"wrote {csv_path}")
     return EXIT_OK

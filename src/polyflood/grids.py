@@ -106,27 +106,6 @@ class Grid2:
         wy[0] = wy[-1] = 0.5
         return wx, wy
 
-    @cached_property
-    def triangles(self) -> np.ndarray:
-        """P1 triangulation, each cell split along its anti-diagonal.
-
-        Returns an (ntri, 3) int array of flat node ids.  Triangles come in
-        cell order, lower-left triangle first then upper-right, so triangle
-        parity (even/odd index) encodes the orientation.
-        """
-        i, j = np.meshgrid(np.arange(self.nx), np.arange(self.ny))
-        i, j = i.ravel(), j.ravel()
-        v00 = self.node_id(i, j)
-        v10 = self.node_id(i + 1, j)
-        v01 = self.node_id(i, j + 1)
-        v11 = self.node_id(i + 1, j + 1)
-        lower = np.stack([v00, v10, v01], axis=1)
-        upper = np.stack([v10, v11, v01], axis=1)
-        tris = np.empty((2 * self.nx * self.ny, 3), dtype=np.int64)
-        tris[0::2] = lower
-        tris[1::2] = upper
-        return tris
-
 
 @dataclass
 class Field:

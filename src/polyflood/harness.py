@@ -110,6 +110,8 @@ class RefinementStudy:
             ns = [int(n) for n in self.levels]
             if ns != sorted(ns):
                 raise ConfigError("spatial levels must refine monotonically")
+            if ns[0] < 2:
+                raise ConfigError(f"grid sizes must be at least 2 (got {ns[0]})")
             n_ref = int(self.reference)
             for n in ns:
                 if n_ref % n != 0 or n_ref <= n:

@@ -8,13 +8,15 @@ with no-flow (homogeneous Neumann) walls and a balanced pair of corner
 point sources: injection +Q at (0, 0), production -Q at (1, 1).  Each grid
 cell is split along its anti-diagonal into two P1 triangles, and the
 element coefficient K*lam is taken as the arithmetic mean of its three
-vertex values.  Assembly is per edge: every grid edge sums the stiffness
-of its two neighbouring triangles into one face coefficient, and the
-anti-diagonal split couples no diagonal neighbours, so the operator is a
-5-point one.  It is symmetric positive semidefinite with the constant null
-vector; the solve pins the pressure to zero at the production corner, in
-place, and runs multigrid-preconditioned conjugate gradients on the pinned
-system.
+vertex values.  Per-triangle data is held as a (2, ny, nx) array, lower
+then upper triangle of each cell, sliced from the nodal arrays; the split
+itself is stated once, in `_element_coefficients`.  Assembly is per edge:
+every grid edge sums the stiffness of its two neighbouring triangles into
+one face coefficient, and the anti-diagonal split couples no diagonal
+neighbours, so the operator is a 5-point one.  It is symmetric positive
+semidefinite with the constant null vector; the solve pins the pressure to
+zero at the production corner, in place, and runs multigrid-preconditioned
+conjugate gradients on the pinned system.
 
 The total velocity v = -K lam grad p is recovered from the P1 solution
 triangle by triangle and averaged to nodes, which is the field the
@@ -75,7 +77,7 @@ def _bump_density(nx: int, ny: int, cx: float, cy: float, radius: float,
     It depends on nothing that changes during a run, so it is computed
     once per grid shape and well and handed out read-only.  The key is the
     shape, not a Grid2, so the cache keeps no run's grid (and the
-    coordinates and triangles it caches) alive.
+    coordinates it caches) alive.
     """
     grid = Grid2(nx, ny)
     X, Y = grid.xy
@@ -108,14 +110,22 @@ def injection_density(grid: Grid2, wells: WellConfig | None) -> np.ndarray:
 
 
 def _element_coefficients(grid: Grid2, s, c, model, K):
-    """Per-triangle K*lam, the arithmetic mean of the three vertex values."""
+    """Per-triangle K*lam, the arithmetic mean of the three vertex values.
+
+    This is the one statement of the P1 split.  Each cell (i, j) is cut
+    along its anti-diagonal into a lower triangle with vertices (i, j),
+    (i+1, j), (i, j+1) and an upper triangle with vertices (i+1, j),
+    (i+1, j+1), (i, j+1).  Per-triangle data is held as a (2, ny, nx)
+    array indexed [triangle, j, i], lower triangle first.
+    """
     _, _, lam = model.mobilities(s, c)
-    coef = (np.asarray(K, dtype=float) * lam).ravel()
-    tris = grid.triangles
-    coef_tri = coef[tris].mean(axis=1)
-    if np.any(coef_tri <= 0.0) or not np.all(np.isfinite(coef_tri)):
+    coef = (np.asarray(K, dtype=float) * lam).reshape(grid.shape)
+    tri = np.empty((2, grid.ny, grid.nx))
+    tri[0] = (coef[:-1, :-1] + coef[:-1, 1:] + coef[1:, :-1]) / 3.0
+    tri[1] = (coef[:-1, 1:] + coef[1:, 1:] + coef[1:, :-1]) / 3.0
+    if np.any(tri <= 0.0) or not np.all(np.isfinite(tri)):
         raise ValueError("element coefficient K*lam must be positive and finite")
-    return coef_tri
+    return tri
 
 
 def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
@@ -127,9 +137,7 @@ def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
     of a lower triangle and the right edge of the upper triangle to its
     left.  Each edge sums the stiffness coupling of those two triangles.
     """
-    coef_tri = _element_coefficients(grid, s, c, model, K)
-    lower = coef_tri[0::2].reshape(grid.ny, grid.nx)
-    upper = coef_tri[1::2].reshape(grid.ny, grid.nx)
+    lower, upper = _element_coefficients(grid, s, c, model, K)
     # within one triangle an x edge couples its end nodes by area/hx^2
     # times the element coefficient, a y edge by area/hy^2
     area = grid.hx * grid.hy / 2.0
@@ -192,33 +200,28 @@ def recover_velocity(grid: Grid2, p, s, c, model, K=1.0):
     """Total velocity -K lam grad p, averaged from triangles to nodes.
 
     The per-triangle P1 gradient is constant; each node receives the mean
-    of the velocities of its adjacent triangles.  Returns (vx, vy) arrays
-    of shape (ny+1, nx+1).
+    of the velocities of its adjacent triangles, summed in triangle order
+    (cell by cell, lower before upper).  Returns (vx, vy) arrays of shape
+    (ny+1, nx+1).
     """
-    coef_tri = _element_coefficients(grid, s, c, model, K)
-    tris = grid.triangles
-    pv = np.ravel(p)[tris]
-    hx, hy = grid.hx, grid.hy
-
-    gx = np.empty(tris.shape[0])
-    gy = np.empty(tris.shape[0])
-    # lower triangles (v00, v10, v01), upper triangles (v10, v11, v01)
-    gx[0::2] = (pv[0::2, 1] - pv[0::2, 0]) / hx
-    gy[0::2] = (pv[0::2, 2] - pv[0::2, 0]) / hy
-    gx[1::2] = (pv[1::2, 1] - pv[1::2, 2]) / hx
-    gy[1::2] = (pv[1::2, 1] - pv[1::2, 0]) / hy
-
-    vx_tri = -coef_tri * gx
-    vy_tri = -coef_tri * gy
-
-    n = grid.nnodes
-    sums_x = np.zeros(n)
-    sums_y = np.zeros(n)
-    counts = np.zeros(n)
-    flat = tris.ravel()
-    np.add.at(sums_x, flat, np.repeat(vx_tri, 3))
-    np.add.at(sums_y, flat, np.repeat(vy_tri, 3))
-    np.add.at(counts, flat, 1.0)
-    vx = (sums_x / counts).reshape(grid.shape)
-    vy = (sums_y / counts).reshape(grid.shape)
-    return vx, vy
+    coef = _element_coefficients(grid, s, c, model, K)
+    p = np.reshape(p, grid.shape)
+    dx = np.diff(p, axis=1) / grid.hx
+    dy = np.diff(p, axis=0) / grid.hy
+    # per triangle: [vx, vy, 1], so one node sum also counts the triangles
+    vals = np.empty((3, 2, grid.ny, grid.nx))
+    vals[0, 0], vals[0, 1] = dx[:-1], dx[1:]
+    vals[1, 0], vals[1, 1] = dy[:, :-1], dy[:, 1:]
+    np.multiply(-coef, vals[:2], out=vals[:2])
+    vals[2] = 1.0
+    lower, upper = vals[:, 0], vals[:, 1]
+    nodes = np.zeros((3,) + grid.shape)
+    # the six triangles at node (i, j), in triangle order: upper of cell
+    # (i-1, j-1), both of (i, j-1), both of (i-1, j), lower of (i, j)
+    nodes[:, 1:, 1:] += upper
+    nodes[:, 1:, :-1] += lower
+    nodes[:, 1:, :-1] += upper
+    nodes[:, :-1, 1:] += lower
+    nodes[:, :-1, 1:] += upper
+    nodes[:, :-1, :-1] += lower
+    return nodes[0] / nodes[2], nodes[1] / nodes[2]

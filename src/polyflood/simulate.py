@@ -73,8 +73,14 @@ def init_state(cfg: RunConfig) -> State:
     return State.quiescent(grid, s, c)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def advance(state: State, cfg: RunConfig, model, wells, dt: float) -> State:
-    """One full step: pressure solve, velocity recovery, both transports."""
+    """One full step: pressure solve, velocity recovery, both transports.
+
+    Floating-point overflow, division by zero and invalid operations raise
+    FloatingPointError where they happen, so a step that would make an inf
+    or a NaN fails in that step; underflow stays silent.
+    """
     grid = state.grid
     # the pressure system is dropped once solved, before transport builds
     # its own system and multigrid hierarchy
@@ -139,7 +145,8 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
             if out_dir is not None:
                 _dump(state, out_dir, summary.steps)
             # a step's own checks (coefficients, feet, denominators) raise
-            # ValueError; inside the loop they are numerical failures
+            # ValueError and its floating-point faults FloatingPointError;
+            # inside the loop both are numerical failures
             if isinstance(err, (ValueError, ArithmeticError)):
                 raise SolverError(f"step {summary.steps + 1} from "
                                   f"t = {state.t:.6g} failed: {err}") from err

@@ -1,7 +1,6 @@
 """Command-line interface tests: exit-code contract, override flags,
 study CSV output, and the verification battery."""
 
-import numpy as np
 import pytest
 
 from polyflood import cli
@@ -57,7 +56,12 @@ def test_invalid_flag_value_exits_2(capsys):
     assert cli.main(["run", "--dt", "-0.5"]) == 2
     assert cli.main(["study-spatial", "--levels", "5,9",
                      "--reference", "13", "--tstop", "0.1"]) == 2
-    capsys.readouterr()
+    assert cli.main(["study-spatial", "--levels", "0,8",
+                     "--reference", "16", "--tstop", "0.1"]) == 2
+    assert cli.main(["study-spatial", "--levels", "4,8",
+                     "--reference", "16.5", "--tstop", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "at least 2" in err and "16.5" in err
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):
@@ -69,17 +73,19 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 
 
 def test_numerical_failure_in_a_step_exits_3_with_a_dump(tmp_path, capsys):
-    # the oil mobility overflows to inf, which the pressure assembly rejects
-    cfg = tmp_path / "flood.cfg"
-    cfg.write_text("N = 8\nmu_o = 1e-320\ntstop = 0.1\n")
-    out = tmp_path / "fields"
-    with np.errstate(over="ignore"):
+    # the oil mobility overflows to inf in the first step; a tiny
+    # van Genuchten exponent overflows the capillary pressure derivative
+    for name, text in (("mu", "N = 8\nmu_o = 1e-320\ntstop = 0.1\n"),
+                       ("m", "N = 8\nm = 0.001\ntstop = 0.1\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
         code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("solver failure: step 1 ") and err.count("\n") == 1
-    assert "K*lam" in err
-    assert (out / "s_000000.txt").exists()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: step 1 ") and err.count("\n") == 1
+        assert "overflow" in err
+        assert (out / "s_000000.txt").exists()
 
 
 def test_spatial_study_writes_csv(tmp_path, capsys):

@@ -24,18 +24,6 @@ def test_grid_basics():
         Grid2(4, 1)
 
 
-def test_triangulation():
-    g = Grid2(3, 2)
-    tris = g.triangles
-    assert tris.shape == (12, 3)
-    assert tris.min() == 0 and tris.max() == g.nnodes - 1
-    # first cell: lower triangle (v00, v10, v01), upper (v10, v11, v01);
-    # the shared edge is the cell's anti-diagonal
-    assert list(tris[0]) == [0, 1, 4]
-    assert list(tris[1]) == [1, 5, 4]
-    assert set(tris[0]) & set(tris[1]) == {1, 4}
-
-
 def test_interp_linear_nodes_and_affine():
     g = Grid1(16)
     vals = 2.0 * g.x + 1.0

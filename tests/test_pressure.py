@@ -1,8 +1,8 @@
-"""Pressure assembly and solve tests.
+"""Pressure assembly, solve and velocity tests.
 
-The assembly oracle is an independent scalar-loop P1 assembly written out
-longhand here; the solve oracle is dense numpy.linalg.solve on the pinned
-system.
+The assembly and velocity oracles are independent scalar-loop P1 codes
+written out longhand here; the solve oracle is dense numpy.linalg.solve on
+the pinned system.
 """
 
 import numpy as np
@@ -44,6 +44,34 @@ def dense_p1_oracle(grid, coef_nodal):
     return A
 
 
+def scalar_velocity_oracle(grid, p, coef_nodal):
+    """Scalar-loop P1 velocity: per-triangle -coef * grad p, then each
+    node's mean over its triangles, summed in triangle order."""
+    hx, hy = grid.hx, grid.hy
+    p, coef = np.ravel(p), np.ravel(coef_nodal)
+    sums = [[0.0, 0.0, 0] for _ in range(grid.nnodes)]
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            v00 = grid.node_id(i, j)
+            v10 = grid.node_id(i + 1, j)
+            v01 = grid.node_id(i, j + 1)
+            v11 = grid.node_id(i + 1, j + 1)
+            # the two triangles share the cell's anti-diagonal v10-v01
+            lower, upper = (v00, v10, v01), (v10, v11, v01)
+            for verts, gx, gy in (
+                (lower, (p[v10] - p[v00]) / hx, (p[v01] - p[v00]) / hy),
+                (upper, (p[v11] - p[v01]) / hx, (p[v11] - p[v10]) / hy),
+            ):
+                cf = (coef[verts[0]] + coef[verts[1]] + coef[verts[2]]) / 3.0
+                for v in verts:
+                    sums[v][0] += -cf * gx
+                    sums[v][1] += -cf * gy
+                    sums[v][2] += 1
+    vx = np.array([sx / n for sx, _, n in sums])
+    vy = np.array([sy / n for _, sy, n in sums])
+    return vx.reshape(grid.shape), vy.reshape(grid.shape)
+
+
 def random_state(grid, seed=0):
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.25, 0.75, grid.shape)
@@ -60,6 +88,18 @@ def test_assembly_matches_scalar_oracle(g):
     oracle = dense_p1_oracle(g, (2.0 * lam).ravel())
     assert np.allclose(sys.matrix.toarray(), oracle, rtol=0, atol=1e-14)
     assert sys.pure_neumann
+
+
+@pytest.mark.parametrize("g", [Grid2(2, 2), Grid2(4, 3), Grid2(3, 5)],
+                         ids=["2x2", "4x3", "3x5"])
+def test_velocity_matches_scalar_oracle(g):
+    s, c = random_state(g, seed=6)
+    rng = np.random.default_rng(7)
+    K = rng.uniform(0.5, 3.0, g.shape)
+    p = rng.normal(size=g.shape)
+    vx, vy = recover_velocity(g, p, s, c, MODEL, K=K)
+    ox, oy = scalar_velocity_oracle(g, p, K * MODEL.mobilities(s, c)[2])
+    assert np.array_equal(vx, ox) and np.array_equal(vy, oy)
 
 
 def test_matrix_symmetric_with_zero_row_sums():
