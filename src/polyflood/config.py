@@ -66,10 +66,10 @@ class RunConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ConfigError("N must be at least 2")
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.tstop < 0.0:
-            raise ConfigError("tstop must be nonnegative")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
+        if not 0.0 <= self.tstop < math.inf:
+            raise ConfigError("tstop must be nonnegative and finite")
         if self.Q < 0.0:
             raise ConfigError("Q must be nonnegative")
         if self.c0 < 0.0:

@@ -169,8 +169,7 @@ def write_field(path, fld: Field, time: float) -> None:
     if not isinstance(grid, Grid2):
         raise TypeError("field dumps are defined for 2-D grids")
     lines = [f"# {grid.nx} {grid.ny} {float(time)!r} {fld.label}".rstrip()]
-    for row in fld.data:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines += (" ".join(map(repr, row)) for row in fld.data.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -12,6 +12,13 @@ P^T A P, damped-Jacobi smoothing, and an exact banded Cholesky solve on
 the coarsest level (Briggs, Henson & McCormick, A Multigrid Tutorial,
 2000).  With it, the conjugate-gradient iteration count stays flat as the
 grid is refined, where Jacobi preconditioning grows linearly with N.
+
+What depends on the grid shape only is built once per shape and cached
+read-only: the 5-point CSR structure (indptr, indices and where each
+stored entry comes from) and the prolongation and restriction.  What
+depends on the coefficients is made per call: five_point fills that
+structure's values, and multigrid forms the Galerkin products, smoother
+weights and coarsest factor of the matrix it is given.
 """
 
 from __future__ import annotations
@@ -63,30 +70,60 @@ class SparseSystem:
     pure_neumann: bool = False
 
 
+@functools.lru_cache(maxsize=16)
+def _five_point_pattern(nx: int, ny: int):
+    """CSR structure of the 5-point operator on an nx-by-ny grid's nodes.
+
+    Returns indptr, indices and, for each stored entry, its index into a
+    flattened (5, ny+1, nx+1) stack of south, west, centre, east and north
+    couplings.  Every neighbour inside the grid is stored, zero or not, so
+    the structure depends on the shape only; all three arrays are shared
+    between calls and read-only.
+    """
+    i = np.arange(nx + 1)
+    j = np.arange(ny + 1)[:, None]
+    present = np.stack(np.broadcast_arrays(j > 0, i > 0, True, i < nx, j < ny))
+    node, plane = np.nonzero(present.reshape(5, -1).T)
+    offset = np.array([-(nx + 1), -1, 0, 1, nx + 1])
+    indices = (node + offset[plane]).astype(np.int32)
+    nodes = i.size * j.size
+    indptr = np.zeros(nodes + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=0).ravel(), out=indptr[1:])
+    # int32 halves what each shape keeps, and take() reads it as it is
+    gather = (plane * nodes + node).astype(np.int32)
+    for array in (indptr, indices, gather):
+        array.flags.writeable = False
+    return indptr, indices, gather
+
+
 def five_point(grid, fx, fy, mass=0.0) -> sparse.csr_matrix:
     """Symmetric 5-point operator on a Grid2's nodes from face coefficients.
 
     fx[j, i] couples node (i, j) to (i+1, j), shape (ny+1, nx); fy[j, i]
     couples (i, j) to (i, j+1), shape (ny, nx+1).  Each face enters its two
     rows as -f off the diagonal and +f on it, so the diagonal is mass plus
-    the node's face coefficients and mass = 0 gives zero row sums.
+    the node's face coefficients and mass = 0 gives zero row sums.  The
+    values fill the shape's cached CSR structure, which stores a face that
+    is exactly 0 as an explicit zero.
     """
-    if fx.shape != (grid.ny + 1, grid.nx) or fy.shape != (grid.ny, grid.nx + 1):
+    nx, ny = grid.nx, grid.ny
+    if fx.shape != (ny + 1, nx) or fy.shape != (ny, nx + 1):
         raise ValueError(f"face coefficients of shape {fx.shape}, {fy.shape} "
-                         f"do not fit a {grid.nx}x{grid.ny} grid")
-    # zero faces past the walls: right of the last column (which also
-    # blanks the wrap-around entries of the +-1 diagonals) and beyond the
-    # first and last rows
-    east = np.pad(fx, ((0, 0), (0, 1)))
-    west = np.pad(fx, ((0, 0), (1, 0)))
-    north = np.pad(fy, ((0, 1), (0, 0)))
-    south = np.pad(fy, ((1, 0), (0, 0)))
-    diag = mass + east + west + north + south
-    side = -east.ravel()[:-1]
-    vert = -fy.ravel()
-    row = grid.nx + 1
-    return sparse.diags([diag.ravel(), side, side, vert, vert],
-                        [0, 1, -1, row, -row], format="csr")
+                         f"do not fit a {nx}x{ny} grid")
+    indptr, indices, gather = _five_point_pattern(nx, ny)
+    # faces past the walls stay 0: right of the last column, left of the
+    # first, below the first row and above the last
+    stack = np.zeros((5, ny + 1, nx + 1))
+    south, west, centre, east, north = stack
+    east[:, :-1] = fx
+    west[:, 1:] = fx
+    north[:-1] = fy
+    south[1:] = fy
+    centre[...] = mass + east + west + north + south
+    np.negative(stack[:2], out=stack[:2])
+    np.negative(stack[3:], out=stack[3:])
+    return sparse.csr_matrix((stack.take(gather), indices, indptr),
+                             shape=(grid.nnodes, grid.nnodes))
 
 
 def _inverse_diagonal(A) -> np.ndarray:
@@ -123,12 +160,16 @@ def _prolongation(nx: int, ny: int):
 
 
 def _banded_cholesky(A) -> np.ndarray:
-    """Lower banded Cholesky factor of a sparse SPD matrix."""
-    coo = A.tocoo()
-    low = coo.row >= coo.col
-    band = coo.row[low] - coo.col[low]
-    ab = np.zeros((int(band.max()) + 1, A.shape[0]))
-    np.add.at(ab, (band, coo.col[low]), coo.data[low])
+    """Lower banded Cholesky factor of a sparse SPD matrix in CSR form."""
+    n = A.shape[0]
+    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    low = row >= A.indices
+    col = A.indices[low]
+    band = row[low] - col
+    width = int(band.max()) + 1
+    # bincount adds duplicate entries, as a COO build does
+    ab = np.bincount(band * n + col, weights=A.data[low],
+                     minlength=width * n).reshape(width, n)
     try:
         return cholesky_banded(ab, lower=True)
     except (np.linalg.LinAlgError, ValueError) as err:

@@ -181,8 +181,8 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     pin = grid.node_id(grid.nx, grid.ny)
     A = system.matrix.tocsr(copy=True)
     A.data[A.indices == pin] = 0.0
-    A.data[A.indptr[pin]:A.indptr[pin + 1]] = 0.0
-    A[pin, pin] = 1.0
+    row = slice(A.indptr[pin], A.indptr[pin + 1])
+    A.data[row] = A.indices[row] == pin
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
     guess = None

@@ -145,11 +145,15 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
             if out_dir is not None:
                 _dump(state, out_dir, summary.steps)
             # a step's own checks (coefficients, feet, denominators) raise
-            # ValueError and its floating-point faults FloatingPointError;
-            # inside the loop both are numerical failures
-            if isinstance(err, (ValueError, ArithmeticError)):
-                raise SolverError(f"step {summary.steps + 1} from "
-                                  f"t = {state.t:.6g} failed: {err}") from err
+            # ValueError, its floating-point faults FloatingPointError and
+            # its solves SolverError; inside the loop all are numerical
+            # failures of that step
+            if isinstance(err, (ValueError, ArithmeticError, SolverError)):
+                failure = SolverError(f"step {summary.steps + 1} from "
+                                      f"t = {state.t:.6g} failed: {err}")
+                failure.residual = getattr(err, "residual", math.nan)
+                failure.iterations = getattr(err, "iterations", 0)
+                raise failure from err
             raise
         summary.steps += 1
         summary.observe(state, model)

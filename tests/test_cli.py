@@ -4,7 +4,9 @@ study CSV output, and the verification battery."""
 import pytest
 
 from polyflood import cli
+from polyflood.config import RunConfig
 from polyflood.linsolve import SolverError
+from polyflood.simulate import run_simulation
 
 
 def test_run_with_overrides_writes_dumps(tmp_path, capsys):
@@ -51,9 +53,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == 2
 
 
-def test_invalid_flag_value_exits_2(capsys):
+def test_invalid_flag_value_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--nx", "1"]) == 2
     assert cli.main(["run", "--dt", "-0.5"]) == 2
+    assert cli.main(["run", "--nx", "8", "--dt", "nan"]) == 2
+    # an endless run without wells would have taken 0 steps and exited 0
+    cfg = tmp_path / "endless.cfg"
+    cfg.write_text("N = 8\nQ = 0\ntstop = inf\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "dt must be positive and finite" in err
+    assert "tstop must be nonnegative and finite" in err
     assert cli.main(["study-spatial", "--levels", "5,9",
                      "--reference", "13", "--tstop", "0.1"]) == 2
     assert cli.main(["study-spatial", "--levels", "0,8",
@@ -74,9 +84,12 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 
 def test_numerical_failure_in_a_step_exits_3_with_a_dump(tmp_path, capsys):
     # the oil mobility overflows to inf in the first step; a tiny
-    # van Genuchten exponent overflows the capillary pressure derivative
-    for name, text in (("mu", "N = 8\nmu_o = 1e-320\ntstop = 0.1\n"),
-                       ("m", "N = 8\nm = 0.001\ntstop = 0.1\n")):
+    # van Genuchten exponent overflows the capillary pressure derivative;
+    # a vanishing porosity breaks the saturation solve down
+    for name, text, cause in (
+            ("mu", "N = 8\nmu_o = 1e-320\ntstop = 0.1\n", "overflow"),
+            ("m", "N = 8\nm = 0.001\ntstop = 0.1\n", "overflow"),
+            ("phi", "N = 8\nphi = 1e-300\ntstop = 0.5\n", "breakdown")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         out = tmp_path / name
@@ -84,8 +97,11 @@ def test_numerical_failure_in_a_step_exits_3_with_a_dump(tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure: step 1 ") and err.count("\n") == 1
-        assert "overflow" in err
+        assert cause in err and err.count("relative residual") <= 1
         assert (out / "s_000000.txt").exists()
+    with pytest.raises(SolverError, match="^step 1 from t = 0 failed") as info:
+        run_simulation(RunConfig(N=8, tstop=0.5, phi=1e-300))
+    assert info.value.iterations == 1 and info.value.residual > 0.0
 
 
 def test_spatial_study_writes_csv(tmp_path, capsys):

@@ -126,3 +126,19 @@ def test_dump_round_trip(tmp_path):
     # deterministic bytes on rewrite
     write_field(p, fld, time=0.2)
     assert p.read_text() == first
+
+
+def test_dump_writes_shortest_round_trip_floats(tmp_path):
+    g = Grid2(2, 2)
+    values = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+    data = np.zeros(g.shape)
+    data.flat[:len(values)] = values
+    p = tmp_path / "c_000000.txt"
+    write_field(p, Field(g, data, label="c"), time=0.0)
+    rows = p.read_text().splitlines()[1:]
+    assert rows == [" ".join(repr(float(v)) for v in row) for row in data]
+    assert rows[:2] == ["-0.0 5e-324 1e+300", "0.30000000000000004 0.0 0.0"]
+    back, _ = read_field(p)
+    assert np.array_equal(back.data, data)
+    assert np.signbit(back.data[0, 0])
+    assert back.data[1, 0] == 0.1 + 0.2

@@ -129,8 +129,28 @@ def test_interior_rows_are_five_point():
             assert np.allclose(row, expect, rtol=0, atol=1e-13)
 
 
+def dense_five_point_oracle(grid, fx, fy, mass):
+    """Scalar-loop 5-point operator; each diagonal sums mass, then the east,
+    west, north and south faces (0 beyond a wall)."""
+    nx, ny = grid.nx, grid.ny
+    A = np.zeros((grid.nnodes, grid.nnodes))
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            k = grid.node_id(i, j)
+            east = fx[j, i] if i < nx else 0.0
+            west = fx[j, i - 1] if i > 0 else 0.0
+            north = fy[j, i] if j < ny else 0.0
+            south = fy[j - 1, i] if j > 0 else 0.0
+            A[k, k] = mass[j, i] + east + west + north + south
+            if i < nx:
+                A[k, k + 1] = A[k + 1, k] = -east
+            if j < ny:
+                A[k, k + nx + 1] = A[k + nx + 1, k] = -north
+    return A
+
+
 def test_five_point_rows_do_not_wrap():
-    # the +-1 diagonals run across row ends; node (nx, j) must not couple
+    # the +-1 neighbours run across row ends; node (nx, j) must not couple
     # to (0, j+1), and every face must reach both of its rows
     g = Grid2(4, 3)
     rng = np.random.default_rng(5)
@@ -146,6 +166,28 @@ def test_five_point_rows_do_not_wrap():
     assert np.allclose(A.sum(axis=1), 0.5, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         five_point(g, fy, fx)
+
+    # the dense oracle, exactly, with some faces exactly 0; those stay
+    # stored, so every call on a shape fills one shared structure
+    for g in (Grid2(2, 2), Grid2(4, 3), Grid2(3, 5)):
+        fx = rng.uniform(1.0, 2.0, (g.ny + 1, g.nx))
+        fy = rng.uniform(1.0, 2.0, (g.ny, g.nx + 1))
+        fx[0, 0] = fx[-1, -1] = fy[0, -1] = fy[-1, 0] = 0.0
+        mass = rng.uniform(0.0, 1.0, g.shape)
+        A = five_point(g, fx, fy, mass)
+        assert np.array_equal(A.toarray(), dense_five_point_oracle(g, fx, fy, mass))
+        assert A.has_canonical_format
+        assert A.nnz == 5 * g.nnodes - 2 * (g.nx + 1) - 2 * (g.ny + 1)
+        B = five_point(g, 2.0 * fx, 2.0 * fy)
+        assert np.shares_memory(A.indices, B.indices)
+        assert np.shares_memory(A.indptr, B.indptr)
+        assert not np.shares_memory(A.data, B.data)
+        indices = A.indices.copy()
+        with pytest.raises(ValueError):
+            A.indices[0] = 1
+        with pytest.raises(ValueError):
+            B.eliminate_zeros()
+        assert np.array_equal(five_point(g, fx, fy).indices, indices)
 
 
 def test_well_sources_balanced():
