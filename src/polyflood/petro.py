@@ -21,15 +21,29 @@ never finite differences.
 Everything is vectorised over numpy arrays and clamp-total: any real
 saturation input is first mapped into the clamped effective range, so no
 evaluation can leave the domain of the root/power expressions.
+
+The laws have one home, PairLaws.  PetroModel.evaluate(s, c, K) returns
+the laws at one (s, c) pair.  Each quantity is computed on first read
+from intermediates that are kept, so s_e, s_e^(1/m), B = 1 - s_e^(1/m),
+B^m, B^(2m), mu_a, the mobilities, f, df/ds, df/dc, dpc/ds and D are each
+formed at most once per pair, and only what is read is formed; krw and
+kro are formed when the mobilities read them and are not kept.  Every
+quantity keeps the operation order of its closed form, so a shared value
+is bit-identical to one computed alone.  The PetroModel law methods are
+one-field views of a fresh evaluation.  A transport step evaluates each
+pair it needs once: (s, c) for the saturation feet, df/dc and the well
+term, (sbar, c) for the face diffusion and (s_new, c) for the
+concentration feet, and drops each evaluation once its fields are taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["PetroModel"]
+__all__ = ["PairLaws", "PetroModel"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +80,14 @@ class PetroModel:
         if not 0.0 < self.eps_sat < 0.5:
             raise ValueError("eps_sat must lie in (0, 0.5)")
 
-    # -- saturation mappings ------------------------------------------------
+    # -- evaluation at one (s, c) pair ----------------------------------------
+
+    def evaluate(self, s, c, K=1.0) -> PairLaws:
+        """The laws at raw saturation s and concentration c, with the
+        capillary diffusion D scaled by K; see PairLaws."""
+        return PairLaws(self, self.effective_saturation(s), c, K)
+
+    # -- saturation mapping and capillary pressure --------------------------
 
     def effective_saturation(self, s):
         """Map raw saturation to the clamped effective range.
@@ -77,24 +98,6 @@ class PetroModel:
         se = (np.asarray(s, dtype=float) - self.s_ra) / (1.0 - self.s_ra)
         return np.clip(se, self.eps_sat, 1.0 - self.eps_sat)
 
-    def _dse_ds(self, s):
-        # derivative of the clamped map: 1/(1 - s_ra) inside, 0 on the clamps
-        se_raw = (np.asarray(s, dtype=float) - self.s_ra) / (1.0 - self.s_ra)
-        inside = (se_raw > self.eps_sat) & (se_raw < 1.0 - self.eps_sat)
-        return np.where(inside, 1.0 / (1.0 - self.s_ra), 0.0)
-
-    # -- relative permeabilities and capillary pressure ---------------------
-
-    def krw(self, se):
-        """Aqueous relative permeability as a function of effective saturation."""
-        se = np.asarray(se, dtype=float)
-        return np.sqrt(se) * (1.0 - (1.0 - se ** (1.0 / self.m)) ** self.m) ** 2
-
-    def kro(self, se):
-        """Oil relative permeability as a function of effective saturation."""
-        se = np.asarray(se, dtype=float)
-        return np.sqrt(1.0 - se) * (1.0 - se ** (1.0 / self.m)) ** (2.0 * self.m)
-
     def pc(self, se):
         """Capillary pressure.  Requires se already inside the clamped range."""
         se = np.asarray(se, dtype=float)
@@ -102,62 +105,40 @@ class PetroModel:
             raise ValueError("pc called outside the clamped effective range")
         return (se ** (-1.0 / self.m) - 1.0) ** (1.0 - self.m) / self.alpha0
 
-    def dpc_ds(self, s):
-        """d pc / d s by the chain rule through the clamped s_e.  Never positive."""
-        se = self.effective_saturation(s)
-        core = (se ** (-1.0 / self.m) - 1.0) ** (-self.m) * se ** (-1.0 / self.m - 1.0)
-        dpc_dse = -(1.0 - self.m) / (self.alpha0 * self.m) * core
-        return dpc_dse * self._dse_ds(s)
-
-    def _dkrw_dse(self, se):
-        A = 1.0 - (1.0 - se ** (1.0 / self.m)) ** self.m
-        B = 1.0 - se ** (1.0 / self.m)
-        return (0.5 / np.sqrt(se) * A ** 2
-                + 2.0 * np.sqrt(se) * A * B ** (self.m - 1.0) * se ** (1.0 / self.m - 1.0))
-
-    def _dkro_dse(self, se):
-        B = 1.0 - se ** (1.0 / self.m)
-        return (-0.5 / np.sqrt(1.0 - se) * B ** (2.0 * self.m)
-                - 2.0 * np.sqrt(1.0 - se) * B ** (2.0 * self.m - 1.0) * se ** (1.0 / self.m - 1.0))
-
-    # -- mobilities and fractional flow -------------------------------------
-
     def aqueous_viscosity(self, c):
         """Polymer-thickened water viscosity mu_w * (1 + beta c)."""
         return self.mu_w * (1.0 + self.beta * np.asarray(c, dtype=float))
 
+    # -- one-field views of an evaluation ------------------------------------
+
+    def krw(self, se):
+        """Aqueous relative permeability as a function of effective saturation."""
+        return PairLaws(self, np.asarray(se, dtype=float), 0.0).krw
+
+    def kro(self, se):
+        """Oil relative permeability as a function of effective saturation."""
+        return PairLaws(self, np.asarray(se, dtype=float), 0.0).kro
+
+    def dpc_ds(self, s):
+        """d pc / d s by the chain rule through the clamped s_e.  Never positive."""
+        return self.evaluate(s, 0.0).dpc_ds
+
     def mobilities(self, s, c):
         """Return (lam_a, lam_o, lam_total) at raw saturation s, concentration c."""
-        se = self.effective_saturation(s)
-        lam_a = self.krw(se) / self.aqueous_viscosity(c)
-        lam_o = self.kro(se) / self.mu_o
-        return lam_a, lam_o, lam_a + lam_o
+        laws = self.evaluate(s, c)
+        return laws.lam_a, laws.lam_o, laws.lam
 
     def fractional_flow(self, s, c):
         """Water fractional flow f = lam_a / (lam_a + lam_o), in [0, 1]."""
-        lam_a, _, lam_t = self.mobilities(s, c)
-        return lam_a / lam_t
+        return self.evaluate(s, c).f
 
     def df_ds(self, s, c):
         """Partial derivative of the fractional flow with respect to saturation."""
-        se = self.effective_saturation(s)
-        dse = self._dse_ds(s)
-        mu_a = self.aqueous_viscosity(c)
-        lam_a = self.krw(se) / mu_a
-        lam_o = self.kro(se) / self.mu_o
-        dlam_a = self._dkrw_dse(se) * dse / mu_a
-        dlam_o = self._dkro_dse(se) * dse / self.mu_o
-        return (dlam_a * lam_o - lam_a * dlam_o) / (lam_a + lam_o) ** 2
+        return self.evaluate(s, c).df_ds
 
     def df_dc(self, s, c):
-        """Partial derivative of the fractional flow with respect to concentration.
-
-        Only the aqueous mobility depends on c:
-        d lam_a / dc = -lam_a * mu_w * beta / mu_a.
-        """
-        lam_a, lam_o, lam_t = self.mobilities(s, c)
-        dlam_a = -lam_a * self.mu_w * self.beta / self.aqueous_viscosity(c)
-        return dlam_a * lam_o / lam_t ** 2
+        """Partial derivative of the fractional flow with respect to concentration."""
+        return self.evaluate(s, c).df_dc
 
     def capillary_diffusion(self, s, c, K=1.0):
         """Signed capillary diffusion coefficient D = K lam_o f dpc_ds.
@@ -165,5 +146,119 @@ class PetroModel:
         Nonpositive for K >= 0 since dpc_ds <= 0; transport schemes assemble
         with |D| on their diffusive faces.
         """
-        lam_a, lam_o, lam_t = self.mobilities(s, c)
-        return K * lam_o * (lam_a / lam_t) * self.dpc_ds(s)
+        return self.evaluate(s, c, K).D
+
+
+class PairLaws:
+    """The constitutive laws at one (s, c) pair, each computed once on use.
+
+    se is the clamped effective saturation (PetroModel.evaluate maps the
+    raw s to it), c the concentration and K the scale of D.  Every other
+    attribute is computed from these on first read and kept, so an
+    evaluation holds what has been read of it; drop it once its fields
+    are taken.  Names without an underscore are the laws themselves.
+    """
+
+    def __init__(self, model: PetroModel, se, c, K=1.0):
+        self.model = model
+        self.se = se
+        self.c = c
+        self.K = K
+
+    @cached_property
+    def dse(self):
+        """d s_e / d s: 1/(1 - s_ra) inside the clamps, 0 on them."""
+        m = self.model
+        # s_e strictly inside its clamp range iff the raw map was
+        inside = (self.se > m.eps_sat) & (self.se < 1.0 - m.eps_sat)
+        return np.where(inside, 1.0 / (1.0 - m.s_ra), 0.0)
+
+    # -- relative permeabilities --------------------------------------------
+
+    @cached_property
+    def _B(self):
+        return 1.0 - self.se ** (1.0 / self.model.m)
+
+    @cached_property
+    def _A(self):
+        return 1.0 - self._B ** self.model.m
+
+    @cached_property
+    def _B2m(self):
+        return self._B ** (2.0 * self.model.m)
+
+    # krw and kro are read once, by lam_a and lam_o, so they are not kept
+    @property
+    def krw(self):
+        """sqrt(s_e) (1 - B^m)^2 with B = 1 - s_e^(1/m)."""
+        return np.sqrt(self.se) * self._A ** 2
+
+    @property
+    def kro(self):
+        """sqrt(1 - s_e) B^(2m)."""
+        return np.sqrt(1.0 - self.se) * self._B2m
+
+    # -- mobilities and fractional flow --------------------------------------
+
+    @cached_property
+    def mu_a(self):
+        return self.model.aqueous_viscosity(self.c)
+
+    @cached_property
+    def lam_a(self):
+        return self.krw / self.mu_a
+
+    @cached_property
+    def lam_o(self):
+        return self.kro / self.model.mu_o
+
+    @cached_property
+    def lam(self):
+        """Total mobility lam_a + lam_o."""
+        return self.lam_a + self.lam_o
+
+    @cached_property
+    def _lam2(self):
+        return self.lam ** 2
+
+    @cached_property
+    def f(self):
+        return self.lam_a / self.lam
+
+    @cached_property
+    def df_ds(self):
+        # dkrw/dse and dkro/dse are consumed as they are formed, and the
+        # s_e roots they share with krw and kro are taken again, which
+        # keeps fewer arrays alive than keeping the roots would
+        m, se, A, B, dse = self.model.m, self.se, self._A, self._B, self.dse
+        se_pow = se ** (1.0 / m - 1.0)
+        root = np.sqrt(se)
+        dlam_a = (0.5 / root * A ** 2
+                  + 2.0 * root * A * B ** (m - 1.0) * se_pow) * dse / self.mu_a
+        root = np.sqrt(1.0 - se)
+        dlam_o = (-0.5 / root * self._B2m
+                  - 2.0 * root * B ** (2.0 * m - 1.0) * se_pow) * dse / self.model.mu_o
+        del se_pow, root
+        return (dlam_a * self.lam_o - self.lam_a * dlam_o) / self._lam2
+
+    @cached_property
+    def df_dc(self):
+        """Only the aqueous mobility depends on c:
+        d lam_a / dc = -lam_a * mu_w * beta / mu_a."""
+        m = self.model
+        dlam_a = -self.lam_a * m.mu_w * m.beta / self.mu_a
+        return dlam_a * self.lam_o / self._lam2
+
+    # -- capillary pressure slope and diffusion -------------------------------
+
+    @cached_property
+    def dpc_ds(self):
+        m, se = self.model, self.se
+        core = (se ** (-1.0 / m.m) - 1.0) ** (-m.m) * se ** (-1.0 / m.m - 1.0)
+        dpc_dse = -(1.0 - m.m) / (m.alpha0 * m.m) * core
+        return dpc_dse * self.dse
+
+    @cached_property
+    def D(self):
+        """K lam_o f dpc/ds."""
+        return self.K * self.lam_o * self.f * self.dpc_ds

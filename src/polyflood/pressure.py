@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2
-from .linsolve import SparseSystem, five_point, multigrid, solve_cg
+from .linsolve import (MULTIGRID_MAX_ITER, SparseSystem, five_point,
+                       multigrid, solve_cg)
 
 __all__ = ["WellConfig", "node_areas", "injection_density",
            "assemble_pressure", "solve_pressure", "recover_velocity"]
@@ -169,7 +170,7 @@ def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
 
 
 def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
-                   max_iter: int | None = None, x0=None) -> np.ndarray:
+                   max_iter: int = MULTIGRID_MAX_ITER, x0=None) -> np.ndarray:
     """Solve the gauged system; returns nodal pressure of shape (ny+1, nx+1).
 
     The production corner is pinned to zero, which removes the constant

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2, clamp_to_unit, interp_bilinear
-from .linsolve import five_point, multigrid, solve_cg
+from .linsolve import MULTIGRID_MAX_ITER, five_point, multigrid, solve_cg
 from .pressure import WellConfig, injection_density, node_areas
 
 __all__ = [
@@ -78,7 +78,6 @@ class StepParams:
     K: float = 1.0
     wells: WellConfig | None = None
     lin_tol: float = 1e-12
-    lin_maxiter: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -87,24 +86,25 @@ class StepParams:
             raise ValueError("porosity must be positive")
 
 
-def trace_feet_saturation(state: State, model, params: StepParams):
-    """Backward foot of the saturation characteristic at every node."""
+def trace_feet_saturation(state: State, laws, params: StepParams):
+    """Backward foot of the saturation characteristic at every node; laws
+    is the model's evaluation at (state.s, state.c)."""
     X, Y = state.grid.xy
-    drift = model.df_ds(state.s, state.c) * (params.dt / params.phi)
+    drift = laws.df_ds * (params.dt / params.phi)
     return clamp_to_unit(X - drift * state.vx), clamp_to_unit(Y - drift * state.vy)
 
 
-def trace_feet_concentration(state: State, s_new, model, params: StepParams):
+def trace_feet_concentration(state: State, s_new, laws, params: StepParams):
     """Backward foot of the concentration characteristic at every node.
 
     The drift combines the interstitial fractional-flow velocity (f/s) v
     with the capillary slip (D/s) grad s; saturation enters at the new time
-    level, concentration at the old one.
+    level, concentration at the old one, so laws is the model's evaluation
+    at (s_new, state.c) with params.K.
     """
     grid = state.grid
     X, Y = grid.xy
-    f = model.fractional_flow(s_new, state.c)
-    D = model.capillary_diffusion(s_new, state.c, params.K)
+    f, D = laws.f, laws.D
     dsdx = np.gradient(s_new, grid.hx, axis=1, edge_order=2)
     dsdy = np.gradient(s_new, grid.hy, axis=0, edge_order=2)
     scale = params.dt / params.phi
@@ -126,23 +126,25 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     hx, hy = grid.hx, grid.hy
     dt, phi = params.dt, params.phi
 
-    xbar, ybar = trace_feet_saturation(state, model, params)
+    # the (s, c) pair gives the feet, df/dc and the well term, and is
+    # dropped once the right-hand side has them
+    laws = model.evaluate(state.s, state.c)
+    xbar, ybar = trace_feet_saturation(state, laws, params)
     sbar = interp_bilinear(grid, state.s, xbar.ravel(), ybar.ravel()).reshape(grid.shape)
+    dcdx = np.gradient(state.c, hx, axis=1, edge_order=2)
+    dcdy = np.gradient(state.c, hy, axis=0, edge_order=2)
+    rhs_density = (phi / dt) * sbar - laws.df_dc * (state.vx * dcdx + state.vy * dcdy)
+    if params.wells is not None and params.wells.rate != 0.0:
+        sigma = injection_density(grid, params.wells)
+        rhs_density += (1.0 - laws.f) * sigma
+    del laws
 
     # face coefficients from the traced saturation and old concentration
-    Dn = model.capillary_diffusion(sbar, state.c, params.K)
+    Dn = model.evaluate(sbar, state.c, params.K).D
     Dabs_x = -(Dn[:, :-1] + Dn[:, 1:]) / 2.0
     Dabs_y = -(Dn[:-1, :] + Dn[1:, :]) / 2.0
     if np.any(Dabs_x < 0.0) or np.any(Dabs_y < 0.0):
         raise ValueError("negative face diffusion would break the M-matrix")
-
-    dcdx = np.gradient(state.c, hx, axis=1, edge_order=2)
-    dcdy = np.gradient(state.c, hy, axis=0, edge_order=2)
-    rhs_density = (phi / dt) * sbar - model.df_dc(state.s, state.c) * (
-        state.vx * dcdx + state.vy * dcdy)
-    if params.wells is not None and params.wells.rate != 0.0:
-        sigma = injection_density(grid, params.wells)
-        rhs_density += (1.0 - model.fractional_flow(state.s, state.c)) * sigma
 
     wx, wy = grid.trapezoid_weights
     area = node_areas(grid)
@@ -154,7 +156,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     A = five_point(grid, cfx_face, cfy_face, mass=(phi / dt) * area)
 
     rhs = (rhs_density * area).ravel()
-    s_new = solve_cg(A, rhs, tol=params.lin_tol, max_iter=params.lin_maxiter,
+    s_new = solve_cg(A, rhs, tol=params.lin_tol, max_iter=MULTIGRID_MAX_ITER,
                      x0=state.s.ravel(), M=multigrid(A, grid)).reshape(grid.shape)
     return np.clip(s_new, model.s_ra, 1.0 - model.s_ro)
 
@@ -164,7 +166,8 @@ def concentration_step(state: State, s_new, model, params: StepParams) -> np.nda
     grid = state.grid
     dt, phi = params.dt, params.phi
 
-    xbar, ybar = trace_feet_concentration(state, s_new, model, params)
+    xbar, ybar = trace_feet_concentration(
+        state, s_new, model.evaluate(s_new, state.c, params.K), params)
     cbar = interp_bilinear(grid, state.c, xbar.ravel(), ybar.ravel()).reshape(grid.shape)
 
     g = np.zeros(grid.shape)

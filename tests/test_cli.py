@@ -1,10 +1,14 @@
 """Command-line interface tests: exit-code contract, override flags,
 study CSV output, and the verification battery."""
 
+import random
+import time
+
 import pytest
 
 from polyflood import cli
-from polyflood.config import RunConfig
+from polyflood.config import RunConfig, parse_config
+from polyflood.grids import read_field
 from polyflood.linsolve import SolverError
 from polyflood.simulate import run_simulation
 
@@ -131,3 +135,59 @@ def test_verification_battery_passes(capsys):
     assert cli.main(["verify-1d"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+# The N = 8 extremes sweep: each data-set extreme alone, then seeded
+# combinations of them.  Every run must exit 0 with every dumped s in
+# [s_ra, 1 - s_ro] and c in [0, c0], or exit 2 or 3; a traceback (exit 1)
+# or a run past SWEEP_SECONDS fails.  Each run takes under 0.1 s on a
+# 2-core host.
+SWEEP_SECONDS = 5.0
+EXTREMES = {
+    "beta=0": "beta = 0",
+    "Q=0": "Q = 0",
+    "c0=0": "c0 = 0",
+    "well_radius=0": "well_radius = 0",
+    "well_radius=0.5": "well_radius = 0.5",
+    "dt>>1": "dt = 50\ntstop = 100",
+    "s0=s_ra": "s0 = 0.1",
+    "s0=1-s_ro": "s0 = 0.8",
+    "m->0": "m = 0.02",
+    "m->1": "m = 0.999",
+    "tiny-viscosities": "mu_w = 1e-8\nmu_o = 1e-7",
+    "huge-viscosities": "mu_w = 1e8\nmu_o = 1e9",
+}
+_POOL = {
+    "beta": ("0", "15", "1e3"), "Q": ("0", "2", "1e4"), "c0": ("0", "0.1", "1"),
+    "well_radius": ("0", "0.2", "0.5"), "dt": ("0.02", "50"),
+    "s0": ("0.1", "0.21", "0.5"), "m": ("0.02", "0.5", "0.999"),
+    "mu_w": ("1e-8", "1.26", "1e8"), "mu_o": ("1e-7", "12.6", "1e9"),
+    "phi": ("1e-6", "1", "1e6"), "K": ("1e-6", "1", "1e6"),
+}
+_rng = random.Random(8)
+EXTREMES.update(
+    (f"seeded-{k}", "\n".join(f"{key} = {_rng.choice(values)}"
+                               for key, values in _POOL.items()))
+    for k in range(10))
+
+
+@pytest.mark.parametrize("text", EXTREMES.values(), ids=EXTREMES.keys())
+def test_extreme_config_ends_in_a_documented_exit(text, tmp_path, capsys):
+    cfg_path = tmp_path / "extreme.cfg"
+    cfg_path.write_text(f"N = 8\ntstop = 0.2\ndump_every = 1\n{text}\n")
+    out = tmp_path / "fields"
+    tic = time.perf_counter()
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert time.perf_counter() - tic < SWEEP_SECONDS
+    assert code in (0, 2, 3), capsys.readouterr()
+    if code != 0:
+        return
+    cfg = parse_config(cfg_path)
+    dumps = {label: sorted(out.glob(f"{label}_*.txt")) for label in "sc"}
+    assert dumps["s"] and len(dumps["s"]) == len(dumps["c"])
+    for path in dumps["s"]:
+        s = read_field(path)[0].data
+        assert cfg.s_ra <= s.min() and s.max() <= 1.0 - cfg.s_ro, path.name
+    for path in dumps["c"]:
+        c = read_field(path)[0].data
+        assert 0.0 <= c.min() and c.max() <= cfg.c0, path.name

@@ -154,3 +154,144 @@ def test_parameter_validation():
         PetroModel(mu_w=0.0)
     with pytest.raises(ValueError):
         PetroModel(alpha0=-1.0)
+
+
+class FrozenLaws:
+    """The laws as each was written alone before they shared one
+    evaluation: the bit-for-bit oracle for PetroModel and PairLaws."""
+
+    def __init__(self, model):
+        self.p = model
+
+    def effective_saturation(self, s):
+        p = self.p
+        se = (np.asarray(s, dtype=float) - p.s_ra) / (1.0 - p.s_ra)
+        return np.clip(se, p.eps_sat, 1.0 - p.eps_sat)
+
+    def dse_ds(self, s):
+        p = self.p
+        se_raw = (np.asarray(s, dtype=float) - p.s_ra) / (1.0 - p.s_ra)
+        inside = (se_raw > p.eps_sat) & (se_raw < 1.0 - p.eps_sat)
+        return np.where(inside, 1.0 / (1.0 - p.s_ra), 0.0)
+
+    def krw(self, se):
+        se, m = np.asarray(se, dtype=float), self.p.m
+        return np.sqrt(se) * (1.0 - (1.0 - se ** (1.0 / m)) ** m) ** 2
+
+    def kro(self, se):
+        se, m = np.asarray(se, dtype=float), self.p.m
+        return np.sqrt(1.0 - se) * (1.0 - se ** (1.0 / m)) ** (2.0 * m)
+
+    def pc(self, se):
+        se, m = np.asarray(se, dtype=float), self.p.m
+        return (se ** (-1.0 / m) - 1.0) ** (1.0 - m) / self.p.alpha0
+
+    def dpc_ds(self, s):
+        m = self.p.m
+        se = self.effective_saturation(s)
+        core = (se ** (-1.0 / m) - 1.0) ** (-m) * se ** (-1.0 / m - 1.0)
+        dpc_dse = -(1.0 - m) / (self.p.alpha0 * m) * core
+        return dpc_dse * self.dse_ds(s)
+
+    def dkrw_dse(self, se):
+        m = self.p.m
+        A = 1.0 - (1.0 - se ** (1.0 / m)) ** m
+        B = 1.0 - se ** (1.0 / m)
+        return (0.5 / np.sqrt(se) * A ** 2
+                + 2.0 * np.sqrt(se) * A * B ** (m - 1.0) * se ** (1.0 / m - 1.0))
+
+    def dkro_dse(self, se):
+        m = self.p.m
+        B = 1.0 - se ** (1.0 / m)
+        return (-0.5 / np.sqrt(1.0 - se) * B ** (2.0 * m)
+                - 2.0 * np.sqrt(1.0 - se) * B ** (2.0 * m - 1.0) * se ** (1.0 / m - 1.0))
+
+    def aqueous_viscosity(self, c):
+        return self.p.mu_w * (1.0 + self.p.beta * np.asarray(c, dtype=float))
+
+    def mobilities(self, s, c):
+        se = self.effective_saturation(s)
+        lam_a = self.krw(se) / self.aqueous_viscosity(c)
+        lam_o = self.kro(se) / self.p.mu_o
+        return lam_a, lam_o, lam_a + lam_o
+
+    def fractional_flow(self, s, c):
+        lam_a, _, lam_t = self.mobilities(s, c)
+        return lam_a / lam_t
+
+    def df_ds(self, s, c):
+        se = self.effective_saturation(s)
+        dse = self.dse_ds(s)
+        mu_a = self.aqueous_viscosity(c)
+        lam_a = self.krw(se) / mu_a
+        lam_o = self.kro(se) / self.p.mu_o
+        dlam_a = self.dkrw_dse(se) * dse / mu_a
+        dlam_o = self.dkro_dse(se) * dse / self.p.mu_o
+        return (dlam_a * lam_o - lam_a * dlam_o) / (lam_a + lam_o) ** 2
+
+    def df_dc(self, s, c):
+        lam_a, lam_o, lam_t = self.mobilities(s, c)
+        dlam_a = -lam_a * self.p.mu_w * self.p.beta / self.aqueous_viscosity(c)
+        return dlam_a * lam_o / lam_t ** 2
+
+    def capillary_diffusion(self, s, c, K=1.0):
+        lam_a, lam_o, lam_t = self.mobilities(s, c)
+        return K * lam_o * (lam_a / lam_t) * self.dpc_ds(s)
+
+
+def same(a, b):
+    """Bit for bit: equal values (NaN nowhere) and equal shapes."""
+    return np.array_equal(a, b) and np.shape(a) == np.shape(b)
+
+
+def oracle_sweep(model):
+    """Raw saturations over [-0.5, 1.5], with s_ra, 1 - s_ro and the raw
+    values at both clamp edges of s_e, each with its float neighbours."""
+    edges = [model.s_ra, 1.0 - model.s_ro,
+             model.s_ra + model.eps_sat * (1.0 - model.s_ra),
+             model.s_ra + (1.0 - model.eps_sat) * (1.0 - model.s_ra)]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.sort(np.concatenate([np.linspace(-0.5, 1.5, 401), edges, near]))
+
+
+@pytest.mark.parametrize("m", [0.3, 2.0 / 3.0, 0.95])
+def test_laws_match_frozen_formulas_bit_for_bit(m):
+    model = PetroModel(m=m)
+    oracle = FrozenLaws(model)
+    s = oracle_sweep(model)
+    se = model.effective_saturation(s)
+    # both clamp edges are hit exactly, and crossed
+    assert np.any(se == model.eps_sat) and np.any(se == 1.0 - model.eps_sat)
+    assert np.any(oracle.dse_ds(s) == 0.0) and np.any(oracle.dse_ds(s) > 0.0)
+    assert same(se, oracle.effective_saturation(s))
+    for law in ("krw", "kro", "pc"):
+        assert same(getattr(model, law)(se), getattr(oracle, law)(se)), law
+    assert same(model.dpc_ds(s), oracle.dpc_ds(s))
+    for c in (0.0, 0.05, 0.1, np.array([0.0, 0.05, 0.1])):
+        # an array c broadcasts against a column of s
+        sc = s[:, None] if np.ndim(c) else s
+        assert same(model.aqueous_viscosity(c), oracle.aqueous_viscosity(c))
+        for got, want in zip(model.mobilities(sc, c), oracle.mobilities(sc, c)):
+            assert same(got, want)
+        for law in ("fractional_flow", "df_ds", "df_dc"):
+            assert same(getattr(model, law)(sc, c), getattr(oracle, law)(sc, c)), law
+        # scaling by 1 or 2 is exact, so only K = 0.3 sees D's product order
+        for K in (0.0, 1.0, 2.0, 0.3):
+            D = oracle.capillary_diffusion(sc, c, K)
+            assert same(model.capillary_diffusion(sc, c, K), D)
+            lam_a, lam_o, lam = oracle.mobilities(sc, c)
+            se_sc = oracle.effective_saturation(sc)
+            fields = {
+                "se": se_sc, "dse": oracle.dse_ds(sc),
+                "krw": oracle.krw(se_sc), "kro": oracle.kro(se_sc),
+                "mu_a": oracle.aqueous_viscosity(c),
+                "lam_a": lam_a, "lam_o": lam_o, "lam": lam,
+                "f": oracle.fractional_flow(sc, c),
+                "df_ds": oracle.df_ds(sc, c), "df_dc": oracle.df_dc(sc, c),
+                "dpc_ds": oracle.dpc_ds(sc), "D": D,
+            }
+            # a field's value must not depend on what was read before it
+            for order in (list(fields), list(fields)[::-1]):
+                laws = model.evaluate(sc, c, K)
+                for name in order:
+                    assert same(getattr(laws, name), fields[name]), (name, c, K)

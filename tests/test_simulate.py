@@ -8,6 +8,7 @@ import pytest
 import polyflood.pressure
 import polyflood.transport
 from polyflood.config import RunConfig
+from polyflood.linsolve import MULTIGRID_MAX_ITER
 from polyflood.simulate import init_state, run_simulation
 
 
@@ -137,3 +138,24 @@ def test_solver_iterations_do_not_grow_with_n(cfg, monkeypatch):
     for key, counts in iterations.items():
         assert len(counts) == steps, key
         assert max(counts) <= 20, (key, counts)
+
+
+def test_every_multigrid_solve_is_capped(monkeypatch):
+    # the Jacobi default, 40n + 200, would allow 2.6 million iterations at
+    # N = 256; a multigrid solve that needs more than the cap has stagnated
+    calls = []
+
+    def recorded(module):
+        solve = module.solve_cg
+
+        def wrapper(A, b, **kwargs):
+            calls.append((kwargs.get("max_iter"), kwargs.get("M")))
+            return solve(A, b, **kwargs)
+        monkeypatch.setattr(module, "solve_cg", wrapper)
+
+    recorded(polyflood.pressure)
+    recorded(polyflood.transport)
+    steps = run_simulation(RunConfig(N=24, tstop=0.06, well_radius=0.2)).summary.steps
+    assert steps == 3 and len(calls) == 2 * steps
+    for max_iter, M in calls:
+        assert max_iter == MULTIGRID_MAX_ITER == 200 and callable(M)

@@ -32,9 +32,10 @@ def test_feet_at_nodes_when_velocity_vanishes():
     state = make_state(g, 0.5, 0.05)
     params = StepParams(dt=0.1)
     X, Y = g.xy
-    xb, yb = trace_feet_saturation(state, MODEL, params)
+    xb, yb = trace_feet_saturation(state, MODEL.evaluate(state.s, state.c), params)
     assert np.array_equal(xb, X) and np.array_equal(yb, Y)
-    xb, yb = trace_feet_concentration(state, state.s, MODEL, params)
+    xb, yb = trace_feet_concentration(
+        state, state.s, MODEL.evaluate(state.s, state.c, params.K), params)
     assert np.array_equal(xb, X) and np.array_equal(yb, Y)
 
 
@@ -48,13 +49,14 @@ def test_saturation_feet_formula():
     state = make_state(g, s, c, vx, vy)
     params = StepParams(dt=0.01, phi=0.8)
     X, Y = g.xy
-    xb, yb = trace_feet_saturation(state, MODEL, params)
+    laws = MODEL.evaluate(s, c)
+    xb, yb = trace_feet_saturation(state, laws, params)
     drift = MODEL.df_ds(s, c) * 0.01 / 0.8
     assert np.allclose(xb, np.clip(X - drift * vx, 0, 1), rtol=0, atol=1e-15)
     assert np.allclose(yb, np.clip(Y - drift * vy, 0, 1), rtol=0, atol=1e-15)
     # large step drives feet onto the boundary, never past it
     far = StepParams(dt=10.0)
-    xb, yb = trace_feet_saturation(state, MODEL, far)
+    xb, yb = trace_feet_saturation(state, laws, far)
     assert xb.min() >= 0.0 and xb.max() <= 1.0
     assert yb.min() >= 0.0 and yb.max() <= 1.0
 
