@@ -41,8 +41,8 @@ EXIT_VERIFY = 4
 
 def _load_config(args) -> RunConfig:
     overrides = {
-        "N": args.nx,
-        "dt": args.dt,
+        "N": getattr(args, "nx", None),
+        "dt": getattr(args, "dt", None),
         "tstop": args.tstop,
         "threshold": args.threshold,
         "out": args.out,
@@ -184,11 +184,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
+def _add_common(p, nx=True, dt=True):
+    """Config flags; a spatial study sets N by its levels and a temporal
+    study dt, so neither takes that flag."""
     p.add_argument("--config", default=None, help="flat key = value file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--nx", type=int, default=None, help="cells per direction")
-    p.add_argument("--dt", type=float, default=None, help="time step")
+    if nx:
+        p.add_argument("--nx", type=int, default=None, help="cells per direction")
+    if dt:
+        p.add_argument("--dt", type=float, default=None, help="time step")
     p.add_argument("--tstop", type=float, default=None, help="stop time")
     p.add_argument("--threshold", type=float, default=None,
                    help="breakthrough saturation threshold")
@@ -204,21 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
 
     p_sp = sub.add_parser("study-spatial", help="grid refinement study")
-    _add_common(p_sp)
+    _add_common(p_sp, nx=False)
     p_sp.add_argument("--levels", default="8,16,32",
                       help="comma-separated grid sizes, coarse to fine")
     p_sp.add_argument("--reference", default="64",
                       help="reference grid size (strict multiple of levels)")
 
     p_tm = sub.add_parser("study-temporal", help="time step refinement study")
-    _add_common(p_tm)
+    _add_common(p_tm, dt=False)
     p_tm.add_argument("--levels", default="1/20,1/40,1/80",
                       help="comma-separated time steps, coarse to fine")
     p_tm.add_argument("--reference", default="1/160",
                       help="reference time step (finest)")
 
-    p_v = sub.add_parser("verify-1d", help="reduced-system verification table")
-    _add_common(p_v)
+    sub.add_parser("verify-1d", help="reduced-system verification table")
     return parser
 
 

@@ -70,20 +70,21 @@ class RunConfig:
             raise ConfigError("dt must be positive and finite")
         if not 0.0 <= self.tstop < math.inf:
             raise ConfigError("tstop must be nonnegative and finite")
-        if self.Q < 0.0:
-            raise ConfigError("Q must be nonnegative")
-        if self.c0 < 0.0:
-            raise ConfigError("c0 must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
+        if not (self.phi > 0.0 and self.K > 0.0):
+            raise ConfigError("phi and K must be positive")
         if not 0.0 < self.radius <= math.sqrt(2.0):
             raise ConfigError("radius must lie in (0, sqrt(2)]")
-        if not 0.0 <= self.well_radius <= 0.5:
-            raise ConfigError("well_radius must lie in [0, 0.5]")
         if self.dump_every < 0:
             raise ConfigError("dump_every must be nonnegative")
         if not (self.pressure_tol > 0.0 and self.transport_tol > 0.0):
             raise ConfigError("solver tolerances must be positive")
         try:
             model = self.petro()
+            self.wells()
         except ValueError as err:
             raise ConfigError(str(err)) from err
         if not model.s_ra <= self.s0 <= 1.0 - model.s_ro:

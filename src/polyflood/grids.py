@@ -106,6 +106,14 @@ class Grid2:
         wy[0] = wy[-1] = 0.5
         return wx, wy
 
+    @cached_property
+    def node_areas(self) -> np.ndarray:
+        """Trapezoidal control area of every node, read-only."""
+        wx, wy = self.trapezoid_weights
+        areas = np.outer(wy, wx) * (self.hx * self.hy)
+        areas.flags.writeable = False
+        return areas
+
 
 @dataclass
 class Field:

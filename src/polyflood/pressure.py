@@ -34,8 +34,8 @@ from .grids import Grid2
 from .linsolve import (MULTIGRID_MAX_ITER, SparseSystem, five_point,
                        multigrid, solve_cg)
 
-__all__ = ["WellConfig", "node_areas", "injection_density",
-           "assemble_pressure", "solve_pressure", "recover_velocity"]
+__all__ = ["WellConfig", "injection_density", "assemble_pressure",
+           "solve_pressure", "recover_velocity"]
 
 
 @dataclass(frozen=True)
@@ -63,51 +63,50 @@ class WellConfig:
             raise ValueError("well radius must lie in [0, 0.5]")
 
 
-def node_areas(grid: Grid2) -> np.ndarray:
-    """Trapezoidal control area of every node (boundary nodes own less)."""
-    wx, wy = grid.trapezoid_weights
-    return np.outer(wy, wx) * (grid.hx * grid.hy)
-
-
 @functools.lru_cache(maxsize=16)
-def _bump_density(nx: int, ny: int, cx: float, cy: float, radius: float,
-                  rate: float) -> np.ndarray:
-    """Nodal density of a cos^2 bump at (cx, cy) on an nx-by-ny grid,
-    normalized so that the area-weighted nodal sum equals the rate exactly.
+def _well_sources(nx: int, ny: int, wells: WellConfig):
+    """Read-only pressure load (flat) and injection density (nodal) of a
+    well pair, built and balance-checked once per grid shape and wells.
 
-    It depends on nothing that changes during a run, so it is computed
-    once per grid shape and well and handed out read-only.  The key is the
-    shape, not a Grid2, so the cache keeps no run's grid (and the
-    coordinates it caches) alive.
+    This is the one place that tells point wells from bumps.  A point well
+    loads +-Q on its corner node and has density Q/(hx*hy) there, so over
+    the corner's area hx*hy/4 it injects Q/4, not Q.  A bump well is a
+    cos^2 bump of the well radius about each corner, normalized so that
+    its area-weighted nodal sum is Q; the load is the area-weighted
+    difference of the two bumps.  The key is the shape, not a Grid2, so
+    the cache keeps no run's grid (and the coordinates it caches) alive.
     """
     grid = Grid2(nx, ny)
-    X, Y = grid.xy
-    r = np.hypot(X - cx, Y - cy)
-    shape = np.where(r < radius, np.cos(np.pi * r / (2.0 * radius)) ** 2, 0.0)
-    weight = float(np.sum(shape * node_areas(grid)))
-    if weight <= 0.0:
-        raise ValueError("well bump covers no grid node; enlarge the radius "
-                         "or refine the grid")
-    density = rate * shape / weight
+    load = np.zeros(grid.nnodes)
+    if wells.radius == 0.0:
+        density = np.zeros(grid.shape)
+        density[0, 0] = wells.rate / (grid.hx * grid.hy)
+        load[grid.node_id(0, 0)] += wells.rate
+        load[grid.node_id(nx, ny)] -= wells.rate
+    else:
+        X, Y = grid.xy
+        areas = grid.node_areas
+        bumps = []
+        for cx, cy in ((0.0, 0.0), (1.0, 1.0)):
+            r = np.hypot(X - cx, Y - cy)
+            shape = np.where(r < wells.radius,
+                             np.cos(np.pi * r / (2.0 * wells.radius)) ** 2, 0.0)
+            bumps.append(wells.rate * shape / float(np.sum(shape * areas)))
+        density, prod = bumps
+        load += ((density - prod) * areas).ravel()
+    if abs(load.sum()) > 1e-12 * wells.rate:
+        raise ValueError("well sources do not balance")
+    load.flags.writeable = False
     density.flags.writeable = False
-    return density
+    return load, density
 
 
 def injection_density(grid: Grid2, wells: WellConfig | None) -> np.ndarray:
-    """Nodal source density of the injection well (zero array if no well).
-
-    Point wells keep the historical convention of a density Q/(hx*hy)
-    lumped to the corner node; distributed wells use the normalized bump,
-    which is shared between calls and read-only.
-    """
-    sigma = np.zeros(grid.shape)
+    """Nodal source density of the injection well (zero array if no well);
+    a well's density is shared between calls and read-only."""
     if wells is None or wells.rate == 0.0:
-        return sigma
-    if wells.radius == 0.0:
-        sigma[0, 0] = wells.rate / (grid.hx * grid.hy)
-        return sigma
-    return _bump_density(grid.nx, grid.ny, 0.0, 0.0, wells.radius,
-                         wells.rate)
+        return np.zeros(grid.shape)
+    return _well_sources(grid.nx, grid.ny, wells)[1]
 
 
 def _element_coefficients(grid: Grid2, s, c, model, K):
@@ -151,21 +150,9 @@ def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
     fy[:, 1:] += ky * upper
     A = five_point(grid, fx, fy)
 
-    n = grid.nnodes
-    rhs = np.zeros(n)
+    rhs = np.zeros(grid.nnodes)
     if wells is not None and wells.rate != 0.0:
-        if wells.radius == 0.0:
-            rhs[grid.node_id(0, 0)] += wells.rate
-            rhs[grid.node_id(grid.nx, grid.ny)] -= wells.rate
-        else:
-            areas = node_areas(grid)
-            inj = _bump_density(grid.nx, grid.ny, 0.0, 0.0, wells.radius,
-                                wells.rate)
-            prod = _bump_density(grid.nx, grid.ny, 1.0, 1.0, wells.radius,
-                                 wells.rate)
-            rhs += ((inj - prod) * areas).ravel()
-        if abs(rhs.sum()) > 1e-12 * wells.rate:
-            raise ValueError("well sources do not balance")
+        rhs += _well_sources(grid.nx, grid.ny, wells)[0]
     return SparseSystem(A, rhs, pure_neumann=True)
 
 

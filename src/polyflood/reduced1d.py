@@ -44,6 +44,8 @@ class Coeffs1D:
     forcing_s(x, t, w, m, dmdx)   right side of the saturation equation
     reaction_c(x, t, w)           reaction coefficient G
     forcing_c(x, t, w)            right side of the concentration equation
+
+    The porosity phi is a positive constant, checked once here.
     """
 
     advection_s: Callable
@@ -52,22 +54,17 @@ class Coeffs1D:
     forcing_s: Callable
     reaction_c: Callable
     forcing_c: Callable
-    porosity: float | Callable = 1.0
+    porosity: float = 1.0
 
-    def phi_at(self, x: np.ndarray) -> np.ndarray:
-        if callable(self.porosity):
-            phi = np.asarray(self.porosity(x), dtype=float)
-        else:
-            phi = np.full_like(x, float(self.porosity))
-        if np.any(phi <= 0.0):
+    def __post_init__(self):
+        if not self.porosity > 0.0:
             raise ValueError("porosity must be positive")
-        return phi
 
 
 def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     """Advance (w, m) one step of size dt to time t_new."""
     x, h = grid.x, grid.h
-    phi = coeffs.phi_at(x)
+    phi = coeffs.porosity
 
     # saturation half: trace with the old pair, implicit diffusion closure
     drift = coeffs.advection_s(x, w, m) * (dt / phi)
@@ -86,7 +83,7 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     rhs = mass * wbar + F
     # rows 1..n-1 couple to both face neighbors; ghost reflection doubles
     # the single face at each wall row
-    main = mass.copy()
+    main = np.full(n + 1, mass)
     main[1:-1] += (Dabs[:-1] + Dabs[1:]) / h ** 2
     main[0] += 2.0 * Dabs[0] / h ** 2
     main[-1] += 2.0 * Dabs[-1] / h ** 2

@@ -34,7 +34,7 @@ import numpy as np
 
 from .grids import Grid2, clamp_to_unit, interp_bilinear
 from .linsolve import MULTIGRID_MAX_ITER, five_point, multigrid, solve_cg
-from .pressure import WellConfig, injection_density, node_areas
+from .pressure import WellConfig, injection_density
 
 __all__ = [
     "State", "StepParams",
@@ -147,7 +147,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
         raise ValueError("negative face diffusion would break the M-matrix")
 
     wx, wy = grid.trapezoid_weights
-    area = node_areas(grid)
+    area = grid.node_areas
 
     # one coefficient per face, shared by both endpoint rows; dividing a
     # boundary row by its half-cell area reproduces the ghost doubling

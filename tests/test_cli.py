@@ -68,6 +68,16 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dt must be positive and finite" in err
     assert "tstop must be nonnegative and finite" in err
+    # each of these once ran with no wells, a default threshold or an
+    # unsolved field and exited 0, or failed step 1 with exit 3
+    for text in ("Q = nan", "threshold = nan", "pressure_tol = inf",
+                 "transport_tol = inf", "phi = 0", "phi = nan", "K = nan",
+                 "K = 0", "K = -1", "c0 = nan", "beta = nan", "Q = inf",
+                 "mu_w = inf"):
+        cfg.write_text(f"N = 8\ntstop = 0.1\n{text}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 2, text
+        key = text.split()[0]
+        assert key in capsys.readouterr().err, text
     assert cli.main(["study-spatial", "--levels", "5,9",
                      "--reference", "13", "--tstop", "0.1"]) == 2
     assert cli.main(["study-spatial", "--levels", "0,8",
@@ -77,6 +87,16 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at least 2" in err and "16.5" in err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-1d", "--nx", "8"], ["verify-1d", "--config", "x.cfg"],
+    ["study-spatial", "--nx", "8"], ["study-temporal", "--dt", "0.1"]])
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(cfg):

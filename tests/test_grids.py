@@ -24,6 +24,17 @@ def test_grid_basics():
         Grid2(4, 1)
 
 
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (8, 4), (5, 7)])
+def test_node_areas_are_the_trapezoid_outer_product(nx, ny):
+    g = Grid2(nx, ny)
+    wx, wy = g.trapezoid_weights
+    areas = g.node_areas
+    assert np.array_equal(areas, np.outer(wy, wx) * (g.hx * g.hy))
+    assert areas is g.node_areas and areas.sum() == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        areas[0, 0] = 1.0
+
 def test_interp_linear_nodes_and_affine():
     g = Grid1(16)
     vals = 2.0 * g.x + 1.0

@@ -14,7 +14,8 @@ from polyflood.grids import Grid2
 from polyflood.linsolve import (SparseSystem, SolverError, five_point,
                                 multigrid, solve_cg)
 from polyflood.pressure import (
-    WellConfig, assemble_pressure, solve_pressure, recover_velocity,
+    WellConfig, _well_sources, assemble_pressure, injection_density,
+    solve_pressure, recover_velocity,
 )
 
 MODEL = PetroModel()
@@ -200,6 +201,55 @@ def test_well_sources_balanced():
     with pytest.raises(ValueError):
         WellConfig(rate=-1.0)
 
+
+
+def longhand_well_sources(grid, wells):
+    """Pressure load and injection density written out per well model,
+    each bump normalized by its own area-weighted sum."""
+    wx, wy = grid.trapezoid_weights
+    areas = np.outer(wy, wx) * (grid.hx * grid.hy)
+    rhs = np.zeros(grid.nnodes)
+    sigma = np.zeros(grid.shape)
+    if wells.radius == 0.0:
+        sigma[0, 0] = wells.rate / (grid.hx * grid.hy)
+        rhs[grid.node_id(0, 0)] += wells.rate
+        rhs[grid.node_id(grid.nx, grid.ny)] -= wells.rate
+        return rhs, sigma
+    X, Y = grid.xy
+
+    def bump(cx, cy):
+        r = np.hypot(X - cx, Y - cy)
+        shape = np.where(r < wells.radius,
+                         np.cos(np.pi * r / (2.0 * wells.radius)) ** 2, 0.0)
+        weight = float(np.sum(shape * areas))
+        return wells.rate * shape / weight
+
+    inj, prod = bump(0.0, 0.0), bump(1.0, 1.0)
+    rhs += ((inj - prod) * areas).ravel()
+    return rhs, inj
+
+
+@pytest.mark.parametrize("wells", [
+    WellConfig(rate=2.0), WellConfig(rate=1.5, c_injected=0.1, radius=0.2),
+    WellConfig(rate=2.0, radius=0.5)], ids=["point", "bump0.2", "bump0.5"])
+@pytest.mark.parametrize("g", [Grid2(4, 4), Grid2(9, 6), Grid2(33, 33)],
+                         ids=["4x4", "9x6", "33x33"])
+def test_well_sources_match_longhand_formulas(g, wells):
+    load, density = _well_sources(g.nx, g.ny, wells)
+    rhs, sigma = longhand_well_sources(g, wells)
+    assert np.array_equal(load, rhs) and np.array_equal(density, sigma)
+    for arr in (load, density):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert injection_density(g, wells) is density
+    s, c = random_state(g)
+    system = assemble_pressure(g, s, c, MODEL, wells=wells)
+    assert np.array_equal(system.rhs, rhs)
+    system.rhs[0] += 1.0            # a fresh copy, not the cached load
+    assert np.array_equal(load, rhs)
+    idle = WellConfig(rate=0.0, radius=wells.radius)
+    assert not injection_density(g, idle).any()
+    assert not assemble_pressure(g, s, c, MODEL, wells=idle).rhs.any()
 
 def test_coefficient_positivity_enforced():
     g = Grid2(3, 3)

@@ -86,6 +86,12 @@ def test_bad_reaction_denominator_rejected():
         step1d(g, w, w, coeffs, dt=0.1, t_new=0.1)
 
 
+
+@pytest.mark.parametrize("phi", [0.0, -1.0, float("nan")])
+def test_nonpositive_porosity_rejected_at_construction(phi):
+    with pytest.raises(ValueError, match="porosity"):
+        zero_coeffs(porosity=phi)
+
 def test_run1d_lands_exactly_on_t_end():
     g = Grid1(16)
     coeffs, w_ex, m_ex = manufactured_problem()

@@ -159,3 +159,12 @@ def test_every_multigrid_solve_is_capped(monkeypatch):
     assert steps == 3 and len(calls) == 2 * steps
     for max_iter, M in calls:
         assert max_iter == MULTIGRID_MAX_ITER == 200 and callable(M)
+
+
+def test_well_sources_are_built_once_per_run():
+    # the pressure load and the injection density of a bump-well flood
+    # depend only on the grid shape and the wells, so every step shares them
+    polyflood.pressure._well_sources.cache_clear()
+    steps = run_simulation(RunConfig(N=24, tstop=0.1, well_radius=0.2)).summary.steps
+    info = polyflood.pressure._well_sources.cache_info()
+    assert steps == 5 and info.misses == 1 and info.hits == 3 * steps - 1
