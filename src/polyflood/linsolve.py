@@ -12,11 +12,11 @@ P^T A P, damped-Jacobi smoothing, and an exact banded Cholesky solve on
 the coarsest level (Briggs, Henson & McCormick, A Multigrid Tutorial,
 2000).  With it, the conjugate-gradient iteration count stays flat as the
 grid is refined, where Jacobi preconditioning grows linearly with N, so
-every multigrid-preconditioned solve is capped at MULTIGRID_MAX_ITER
-iterations.  The coarsest level is factored with LAPACK's dpbtrf and each
-V-cycle solves with dpbtrs, both called directly (the routines that
-scipy.linalg's cholesky_banded and cho_solve_banded wrap, without their
-per-call overhead); a non-finite band or a nonzero info raises SolverError.
+solve_cg caps every solve at MULTIGRID_MAX_ITER iterations.  The
+coarsest level is factored with LAPACK's dpbtrf and each V-cycle solves
+with dpbtrs, both called directly (the routines that scipy.linalg's
+cholesky_banded and cho_solve_banded wrap, without their per-call
+overhead); a non-finite band or a nonzero info raises SolverError.
 
 What depends on the grid shape only is built once per shape and cached
 read-only: the 5-point CSR structure (indptr, indices and where each
@@ -47,7 +47,7 @@ __all__ = ["MULTIGRID_MAX_ITER", "SparseSystem", "SolverError", "five_point",
 COARSEST_NODES = 300
 SMOOTH_OMEGA = 0.8
 SMOOTH_SWEEPS = 2
-# Iteration cap of every multigrid-preconditioned solve.  Measured solves
+# Iteration cap of every solve_cg call.  Measured multigrid solves
 # take at most 12 iterations for N = 8-256, so a solve that reaches the
 # cap has stagnated and fails at once instead of running for minutes.
 MULTIGRID_MAX_ITER = 200
@@ -235,19 +235,16 @@ def multigrid(A, grid):
     return vcycle
 
 
-def solve_cg(A, b, tol: float = 1e-10, max_iter: int | None = None, x0=None,
-             M=None):
+def solve_cg(A, b, M, tol: float = 1e-10, x0=None):
     """Preconditioned conjugate gradient.
 
     M maps a residual to its preconditioned residual and must be symmetric
-    positive definite, such as multigrid(A, grid), whose callers pass
-    max_iter=MULTIGRID_MAX_ITER; by default it divides by A's diagonal
-    (Jacobi), and max_iter defaults to 40 n + 200.  Of A only A.diagonal(),
-    for the default M, and A @ x are used.  Stops when ||b - A x||_2 <= tol * ||b||_2; a zero
-    right-hand side returns the zero vector.  Raises SolverError at once on
-    a non-finite right-hand side or a diagonal that is not positive and
-    finite, on breakdown (including a NaN curvature p.Ap), or if the
-    tolerance is not met within max_iter iterations.
+    positive definite, such as multigrid(A, grid).  Of A only A @ x is
+    used.  Stops when ||b - A x||_2 <= tol * ||b||_2; a zero right-hand
+    side returns the zero vector.  Raises SolverError at once on a
+    non-finite right-hand side, on breakdown (including a NaN curvature
+    p.Ap), or if the tolerance is not met within MULTIGRID_MAX_ITER
+    iterations.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -256,10 +253,6 @@ def solve_cg(A, b, tol: float = 1e-10, max_iter: int | None = None, x0=None,
         raise SolverError("right-hand side is not finite")
     if norm_b == 0.0:
         return np.zeros(n)
-    if max_iter is None:
-        max_iter = 40 * n + 200
-    if M is None:
-        M = functools.partial(np.multiply, _inverse_diagonal(A))
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
@@ -270,7 +263,7 @@ def solve_cg(A, b, tol: float = 1e-10, max_iter: int | None = None, x0=None,
     if res <= tol:
         return x
 
-    for k in range(1, max_iter + 1):
+    for k in range(1, MULTIGRID_MAX_ITER + 1):
         q = A @ p
         pq = p @ q
         if not pq > 0.0:
@@ -286,4 +279,5 @@ def solve_cg(A, b, tol: float = 1e-10, max_iter: int | None = None, x0=None,
         p = z + (rz_new / rz) * p
         rz = rz_new
 
-    raise SolverError("conjugate gradient did not converge", res, max_iter)
+    raise SolverError("conjugate gradient did not converge", res,
+                      MULTIGRID_MAX_ITER)

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2
-from .linsolve import (MULTIGRID_MAX_ITER, SparseSystem, five_point,
-                       multigrid, solve_cg)
+from .linsolve import SparseSystem, five_point, multigrid, solve_cg
 
 __all__ = ["WellConfig", "injection_density", "assemble_pressure",
            "solve_pressure", "recover_velocity"]
@@ -157,7 +156,7 @@ def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
 
 
 def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
-                   max_iter: int = MULTIGRID_MAX_ITER, x0=None) -> np.ndarray:
+                   x0=None) -> np.ndarray:
     """Solve the gauged system; returns nodal pressure of shape (ny+1, nx+1).
 
     The production corner is pinned to zero, which removes the constant
@@ -173,11 +172,8 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     A.data[row] = A.indices[row] == pin
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
-    guess = None
-    if x0 is not None:
-        guess = np.ravel(x0) - np.ravel(x0)[pin]
-    p = solve_cg(A, b, tol=tol, max_iter=max_iter, x0=guess,
-                 M=multigrid(A, grid))
+    p = solve_cg(A, b, multigrid(A, grid), tol=tol,
+                 x0=None if x0 is None else np.ravel(x0))
     # the pinned equation is decoupled, so its exact solution is 0 whatever
     # the preconditioner's coarse correction left there
     p[pin] = 0.0

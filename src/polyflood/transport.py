@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid2, clamp_to_unit, interp_bilinear
-from .linsolve import MULTIGRID_MAX_ITER, five_point, multigrid, solve_cg
+from .linsolve import five_point, multigrid, solve_cg
 from .pressure import WellConfig, injection_density
 
 __all__ = [
@@ -156,8 +156,8 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     A = five_point(grid, cfx_face, cfy_face, mass=(phi / dt) * area)
 
     rhs = (rhs_density * area).ravel()
-    s_new = solve_cg(A, rhs, tol=params.lin_tol, max_iter=MULTIGRID_MAX_ITER,
-                     x0=state.s.ravel(), M=multigrid(A, grid)).reshape(grid.shape)
+    s_new = solve_cg(A, rhs, multigrid(A, grid), tol=params.lin_tol,
+                     x0=state.s.ravel()).reshape(grid.shape)
     return np.clip(s_new, model.s_ra, 1.0 - model.s_ro)
 
 
