@@ -67,32 +67,31 @@ def _well_sources(nx: int, ny: int, wells: WellConfig):
     """Read-only pressure load (flat) and injection density (nodal) of a
     well pair, built and balance-checked once per grid shape and wells.
 
-    This is the one place that tells point wells from bumps.  A point well
-    loads +-Q on its corner node and has density Q/(hx*hy) there, so over
-    the corner's area hx*hy/4 it injects Q/4, not Q.  A bump well is a
-    cos^2 bump of the well radius about each corner, normalized so that
-    its area-weighted nodal sum is Q; the load is the area-weighted
-    difference of the two bumps.  The key is the shape, not a Grid2, so
-    the cache keeps no run's grid (and the coordinates it caches) alive.
+    This is the one place that tells point wells from bumps.  Each well's
+    density is rate * shape / sum(shape * node area), so over the node
+    control areas it injects exactly the rate.  A bump well's shape is a
+    cos^2 bump of the well radius about its corner; a point well is the
+    zero-radius case, whose shape is its corner node's indicator, so its
+    density is Q over the corner's control area hx*hy/4.  The load is the
+    area-weighted difference of the two densities.  The key is the shape,
+    not a Grid2, so the cache keeps no run's grid (and the coordinates it
+    caches) alive.
     """
     grid = Grid2(nx, ny)
-    load = np.zeros(grid.nnodes)
-    if wells.radius == 0.0:
-        density = np.zeros(grid.shape)
-        density[0, 0] = wells.rate / (grid.hx * grid.hy)
-        load[grid.node_id(0, 0)] += wells.rate
-        load[grid.node_id(nx, ny)] -= wells.rate
-    else:
-        X, Y = grid.xy
-        areas = grid.node_areas
-        bumps = []
-        for cx, cy in ((0.0, 0.0), (1.0, 1.0)):
-            r = np.hypot(X - cx, Y - cy)
+    X, Y = grid.xy
+    areas = grid.node_areas
+    densities = []
+    for cx, cy in ((0.0, 0.0), (1.0, 1.0)):
+        # the corners are grid nodes, so r is exactly 0 at the well's node
+        r = np.hypot(X - cx, Y - cy)
+        if wells.radius == 0.0:
+            shape = np.where(r == 0.0, 1.0, 0.0)
+        else:
             shape = np.where(r < wells.radius,
                              np.cos(np.pi * r / (2.0 * wells.radius)) ** 2, 0.0)
-            bumps.append(wells.rate * shape / float(np.sum(shape * areas)))
-        density, prod = bumps
-        load += ((density - prod) * areas).ravel()
+        densities.append(wells.rate * shape / float(np.sum(shape * areas)))
+    density, prod = densities
+    load = ((density - prod) * areas).ravel()
     if abs(load.sum()) > 1e-12 * wells.rate:
         raise ValueError("well sources do not balance")
     load.flags.writeable = False

@@ -18,12 +18,13 @@ the same matrix.  Concentration feet follow
 ((f/s) v + (D/s) grad s) / phi and the reaction/source closure is a
 pointwise division, so the concentration update costs no linear solve.
 
-Well sources enter through the shared injection density: a lumped delta
-Q/(hx*hy) at the corner node by default, or the smooth distributed bump
-when the well carries a positive radius, scaled by the usual
-fractional-flow factors either way.  After every update saturation is
-clamped to its mobile range [s_ra, 1 - s_ro] and concentration to
-[0, max(c, c_injected)].
+Well sources enter through the shared injection density: Q over the
+corner node's control area hx*hy/4 by default, or the smooth distributed
+bump when the well carries a positive radius, scaled by the usual
+fractional-flow factors either way.  Over the node control areas either
+density injects Q, the rate the pressure load injects.  After every
+update saturation is clamped to its mobile range [s_ra, 1 - s_ro] and
+concentration to [0, max(c, c_injected)].
 """
 
 from __future__ import annotations

@@ -211,9 +211,11 @@ def longhand_well_sources(grid, wells):
     rhs = np.zeros(grid.nnodes)
     sigma = np.zeros(grid.shape)
     if wells.radius == 0.0:
-        sigma[0, 0] = wells.rate / (grid.hx * grid.hy)
-        rhs[grid.node_id(0, 0)] += wells.rate
-        rhs[grid.node_id(grid.nx, grid.ny)] -= wells.rate
+        # each well's rate over its corner's control area, a quarter cell
+        corner = grid.hx * grid.hy / 4.0
+        sigma[0, 0] = wells.rate / corner
+        rhs[grid.node_id(0, 0)] += sigma[0, 0] * corner
+        rhs[grid.node_id(grid.nx, grid.ny)] -= sigma[0, 0] * corner
         return rhs, sigma
     X, Y = grid.xy
 
@@ -250,6 +252,20 @@ def test_well_sources_match_longhand_formulas(g, wells):
     idle = WellConfig(rate=0.0, radius=wells.radius)
     assert not injection_density(g, idle).any()
     assert not assemble_pressure(g, s, c, MODEL, wells=idle).rhs.any()
+
+
+@pytest.mark.parametrize("wells", [
+    WellConfig(rate=2.0), WellConfig(rate=1.5, c_injected=0.1, radius=0.2),
+    WellConfig(rate=2.0, radius=0.5)], ids=["point", "bump0.2", "bump0.5"])
+@pytest.mark.parametrize("g", [Grid2(4, 4), Grid2(9, 6), Grid2(33, 33)],
+                         ids=["4x4", "9x6", "33x33"])
+def test_transport_injects_the_rate_the_pressure_load_injects(g, wells):
+    # the saturation and concentration sources integrate the density over
+    # the node control areas; they must inject what the pressure load does
+    load, density = _well_sources(g.nx, g.ny, wells)
+    injected = float(np.sum(density * g.node_areas))
+    assert load[load > 0.0].sum() == pytest.approx(wells.rate, rel=1e-12)
+    assert injected == pytest.approx(wells.rate, rel=1e-12)
 
 def test_coefficient_positivity_enforced():
     g = Grid2(3, 3)

@@ -133,8 +133,9 @@ def test_concentration_update_formula_at_injection_node():
     s1 = saturation_step(state, MODEL, params)
     c1 = concentration_step(state, s1, MODEL, params)
     # velocity is zero so the foot sits on the node; the update is a pure
-    # reaction balance with the lumped source weight Q / (s h^2)
-    gq = wells.rate / (s1[0, 0] * g.hx * g.hy)
+    # reaction balance with the source weight Q / (s a), where a = h^2/4
+    # is the corner node's control area
+    gq = wells.rate / (s1[0, 0] * g.hx * g.hy / 4.0)
     expect = (0.02 / params.dt + wells.c_injected * gq) / (1.0 / params.dt + gq)
     assert c1[0, 0] == pytest.approx(expect, rel=1e-12)
 
