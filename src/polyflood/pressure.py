@@ -26,6 +26,7 @@ characteristic tracing in the transport step consumes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,12 @@ class WellConfig:
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("well rate must be nonnegative")
-        if self.c_injected < 0.0:
-            raise ValueError("injected concentration must be nonnegative")
+        # written so that NaN fails the test too
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError("well rate must be nonnegative and finite")
+        if not 0.0 <= self.c_injected < math.inf:
+            raise ValueError("injected concentration must be nonnegative "
+                             "and finite")
         if not 0.0 <= self.radius <= 0.5:
             raise ValueError("well radius must lie in [0, 0.5]")
 

@@ -233,13 +233,13 @@ def characteristic_derivative_check(s, s_t, s_x, b, phi: float, n: int, dt: floa
     """Worst nodal mismatch between the characteristic time derivative and
     its backward difference along the traced foot.
 
-    s, s_t, s_x are callables (x, t); b is the velocity profile b(x).  The
-    foot value uses the exact s, so the residual isolates the O(dt) error
-    of the difference quotient itself.  Nodes whose foot leaves [0, 1] are
-    skipped.
+    s, s_t, s_x are callables (x, t); b is the velocity profile, a
+    callable b(x).  The foot value uses the exact s, so the residual
+    isolates the O(dt) error of the difference quotient itself.  Nodes
+    whose foot leaves [0, 1] are skipped.
     """
     x = Grid1(n).x
-    bx = np.asarray(b(x), dtype=float) if callable(b) else np.full_like(x, float(b))
+    bx = np.asarray(b(x), dtype=float)
     foot = x - bx * dt / phi
     ok = (foot >= 0.0) & (foot <= 1.0)
     res = phi * s_t(x, t) + bx * s_x(x, t) \

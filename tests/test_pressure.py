@@ -198,9 +198,18 @@ def test_well_sources_balanced():
     assert sys.rhs[g.node_id(0, 0)] == 200.0
     assert sys.rhs[g.node_id(4, 4)] == -200.0
     assert abs(sys.rhs.sum()) <= 1e-12 * 200.0
-    with pytest.raises(ValueError):
-        WellConfig(rate=-1.0)
 
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rate=-1.0), dict(rate=np.nan), dict(rate=np.inf),
+    dict(rate=1.0, c_injected=-0.1), dict(rate=1.0, c_injected=np.nan),
+    dict(rate=1.0, c_injected=np.inf), dict(rate=1.0, radius=np.nan)],
+    ids=["rate<0", "rate=nan", "rate=inf", "c<0", "c=nan", "c=inf",
+         "radius=nan"])
+def test_well_config_rejects_bad_values(kwargs):
+    # a non-finite rate or concentration would give non-finite loads
+    with pytest.raises(ValueError):
+        WellConfig(**kwargs)
 
 
 def longhand_well_sources(grid, wells):
