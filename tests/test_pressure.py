@@ -276,6 +276,7 @@ def test_transport_injects_the_rate_the_pressure_load_injects(g, wells):
     assert load[load > 0.0].sum() == pytest.approx(wells.rate, rel=1e-12)
     assert injected == pytest.approx(wells.rate, rel=1e-12)
 
+
 def test_coefficient_positivity_enforced():
     g = Grid2(3, 3)
     s, c = random_state(g)
@@ -334,7 +335,9 @@ def spd_five_point(g, seed):
 
 
 def jacobi(A):
-    return lambda r: r / A.diagonal()
+    """Jacobi preconditioner: divide by A's diagonal."""
+    diag = A.diagonal()
+    return lambda r: r / diag
 
 
 def test_solve_stops_at_the_iteration_cap():
