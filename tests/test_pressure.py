@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import polyflood.linsolve
 from polyflood import PetroModel
 from polyflood.grids import Grid2
 from polyflood.linsolve import (MULTIGRID_MAX_ITER, SparseSystem, SolverError,
@@ -348,6 +349,20 @@ def test_solve_stops_at_the_iteration_cap():
     with pytest.raises(SolverError) as err:
         solve_cg(A, np.ones(g.nnodes), jacobi(A), tol=1e-12)
     assert err.value.iterations == MULTIGRID_MAX_ITER == 200
+    assert err.value.residual > 0.0
+
+
+def test_solver_failure_carries_residual(monkeypatch):
+    # a 24 x 24 grid has a coarse level, so one multigrid-preconditioned
+    # iteration does not solve its pressure system; with the cap at one the
+    # solve fails and reports its residual and iteration count
+    monkeypatch.setattr(polyflood.linsolve, "MULTIGRID_MAX_ITER", 1)
+    g = Grid2(24, 24)
+    s, c = random_state(g)
+    sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
+    with pytest.raises(SolverError) as err:
+        solve_pressure(sys, g)
+    assert err.value.iterations == 1
     assert err.value.residual > 0.0
 
 

@@ -5,9 +5,11 @@ sanity (bounds, monotone flood growth, breakthrough bookkeeping)."""
 import numpy as np
 import pytest
 
+import polyflood.linsolve
 import polyflood.pressure
 import polyflood.transport
 from polyflood.config import RunConfig
+from polyflood.linsolve import SolverError
 from polyflood.simulate import init_state, run_simulation
 
 
@@ -134,6 +136,34 @@ def test_solver_iterations_do_not_grow_with_n(cfg, monkeypatch):
     for key, counts in iterations.items():
         assert len(counts) == steps, key
         assert max(counts) <= 20, (key, counts)
+
+
+def test_every_multigrid_solve_is_capped(monkeypatch):
+    # every pressure and saturation solve of a run goes through solve_cg
+    # with a multigrid preconditioner, and so stops at MULTIGRID_MAX_ITER;
+    # lowering the cap to one makes the first two-level solve fail there
+    calls = []
+
+    def recorded(module):
+        solve = module.solve_cg
+
+        def wrapper(A, b, M, **kwargs):
+            calls.append(M)
+            return solve(A, b, M, **kwargs)
+        monkeypatch.setattr(module, "solve_cg", wrapper)
+
+    recorded(polyflood.pressure)
+    recorded(polyflood.transport)
+    cfg = RunConfig(N=24, tstop=0.06, well_radius=0.2)
+    steps = run_simulation(cfg).summary.steps
+    assert steps == 3 and len(calls) == 2 * steps
+    assert all(callable(M) for M in calls)
+    assert polyflood.linsolve.MULTIGRID_MAX_ITER == 200
+
+    monkeypatch.setattr(polyflood.linsolve, "MULTIGRID_MAX_ITER", 1)
+    with pytest.raises(SolverError) as err:
+        run_simulation(cfg)
+    assert err.value.iterations == 1 and err.value.residual > 0.0
 
 
 def test_well_sources_are_built_once_per_run():
