@@ -75,20 +75,10 @@ def _numeric(text: str) -> float:
     return value
 
 
-def _study_value(text: str, mode: str):
-    """One study level or reference: a grid size or a time step."""
-    value = _numeric(text)
-    if mode == "temporal":
-        return float(value)
-    if not float(value).is_integer():
-        raise ConfigError(f"grid sizes must be integers, got {text.strip()}")
-    return int(value)
-
-
 def _cmd_study(args, mode: str) -> int:
     cfg = _load_config(args)
-    levels = tuple(_study_value(v, mode) for v in args.levels.split(","))
-    reference = _study_value(args.reference, mode)
+    levels = tuple(_numeric(v) for v in args.levels.split(","))
+    reference = _numeric(args.reference)
     study = RefinementStudy(mode, levels, reference, cfg)
     run = run_spatial_study if mode == "spatial" else run_temporal_study
     records = run(study)

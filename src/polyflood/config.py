@@ -26,10 +26,10 @@ class ConfigError(ValueError):
 class RunConfig:
     """Complete description of one quarter five-spot run.
 
-    Phase and capillary parameters default to the classic polymer flood
-    data set.  The injection rate is measured in pore volumes per unit
-    time; the default floods a noticeable fraction of the domain by t = 1,
-    which keeps desk-scale refinement studies meaningful.
+    Phase and capillary parameters default to PetroModel's, the classic
+    polymer flood data set.  The injection rate is measured in pore
+    volumes per unit time; the default floods a noticeable fraction of the
+    domain by t = 1, which keeps desk-scale refinement studies meaningful.
     """
 
     # discretization
@@ -40,14 +40,14 @@ class RunConfig:
     # rock and fluids
     phi: float = 1.0
     K: float = 1.0
-    mu_w: float = 1.26
-    mu_o: float = 12.6
-    s_ra: float = 0.1
-    s_ro: float = 0.2
-    alpha0: float = 0.125
-    m: float = 2.0 / 3.0
-    beta: float = 15.0
-    eps_sat: float = 1e-6
+    mu_w: float = PetroModel.mu_w
+    mu_o: float = PetroModel.mu_o
+    s_ra: float = PetroModel.s_ra
+    s_ro: float = PetroModel.s_ro
+    alpha0: float = PetroModel.alpha0
+    m: float = PetroModel.m
+    beta: float = PetroModel.beta
+    eps_sat: float = PetroModel.eps_sat
 
     # scenario
     Q: float = 2.0              # injection rate (pore volumes per unit time)

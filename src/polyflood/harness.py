@@ -70,9 +70,9 @@ def error_norms(coarse: np.ndarray, coarse_grid: Grid2,
 
 
 def error_norms_1d(grid: Grid1, values: np.ndarray, exact):
-    """h-weighted L2 and max difference against a callable or array."""
-    ref = exact(grid.x) if callable(exact) else np.asarray(exact, dtype=float)
-    diff = np.abs(np.asarray(values, dtype=float) - ref)
+    """h-weighted L2 and max difference against an array of exact values."""
+    diff = np.abs(np.asarray(values, dtype=float)
+                  - np.asarray(exact, dtype=float))
     return float(np.sqrt(np.sum(diff ** 2) * grid.h)), float(diff.max())
 
 
@@ -90,7 +90,8 @@ class RefinementStudy:
     Spatial mode varies N over `levels` against `reference` cells at the
     base time step; temporal mode varies dt over `levels` against the
     `reference` step at the base grid.  Levels must refine strictly toward
-    the reference, which itself must be strictly finer than every level.
+    the reference, which itself must be strictly finer than every level;
+    spatial levels and reference are integral grid sizes.
     """
 
     mode: str
@@ -107,6 +108,9 @@ class RefinementStudy:
             raise ConfigError("repeated refinement levels make the order "
                               "undefined")
         if self.mode == "spatial":
+            for n in (*self.levels, self.reference):
+                if not float(n).is_integer():
+                    raise ConfigError(f"grid sizes must be integers, got {n}")
             ns = [int(n) for n in self.levels]
             if ns != sorted(ns):
                 raise ConfigError("spatial levels must refine monotonically")

@@ -43,11 +43,11 @@ class WellConfig:
     """Quarter five-spot well pair: inject at (0, 0), produce at (1, 1).
 
     Both wells carry the same rate Q, so the discrete source terms always
-    sum to zero.  With radius = 0 each well is a point source lumped to
-    its corner node.  A positive radius spreads the same total rate over a
-    smooth bump of that physical size instead; the bump is grid
-    independent, which keeps the velocity field bounded under refinement
-    and is what the convergence studies use.
+    sum to zero; rate 0 means no wells.  With radius = 0 each well is a
+    point source lumped to its corner node.  A positive radius spreads the
+    same total rate over a smooth bump of that physical size instead; the
+    bump is grid independent, which keeps the velocity field bounded under
+    refinement and is what the convergence studies use.
     """
 
     rate: float
@@ -102,11 +102,9 @@ def _well_sources(nx: int, ny: int, wells: WellConfig):
     return load, density
 
 
-def injection_density(grid: Grid2, wells: WellConfig | None) -> np.ndarray:
-    """Nodal source density of the injection well (zero array if no well);
-    a well's density is shared between calls and read-only."""
-    if wells is None or wells.rate == 0.0:
-        return np.zeros(grid.shape)
+def injection_density(grid: Grid2, wells: WellConfig) -> np.ndarray:
+    """Nodal source density of the injection well, zero for a zero rate;
+    it is shared between calls and read-only."""
     return _well_sources(grid.nx, grid.ny, wells)[1]
 
 
@@ -129,9 +127,11 @@ def _element_coefficients(grid: Grid2, s, c, model, K):
     return tri
 
 
-def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
+def assemble_pressure(grid: Grid2, s, c, model,
+                      wells: WellConfig = WellConfig(rate=0.0),
                       K=1.0) -> SparseSystem:
-    """Assemble the pure-Neumann pressure system with corner well sources.
+    """Assemble the pure-Neumann pressure system with corner well sources;
+    the default, a zero rate, gives a zero right-hand side.
 
     A horizontal edge is the bottom edge of a lower triangle and the top
     edge of the upper triangle below it; a vertical edge is the left edge
@@ -151,9 +151,7 @@ def assemble_pressure(grid: Grid2, s, c, model, wells: WellConfig | None = None,
     fy[:, 1:] += ky * upper
     A = five_point(grid, fx, fy)
 
-    rhs = np.zeros(grid.nnodes)
-    if wells is not None and wells.rate != 0.0:
-        rhs += _well_sources(grid.nx, grid.ny, wells)[0]
+    rhs = _well_sources(grid.nx, grid.ny, wells)[0].copy()
     return SparseSystem(A, rhs, pure_neumann=True)
 
 

@@ -110,13 +110,12 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     return w_new, m_new
 
 
-def run1d(grid: Grid1, coeffs: Coeffs1D, w0, m0, t_end: float, dt: float,
-          t0: float = 0.0):
-    """March (w, m) from t0 to t_end, shortening the final step to land
+def run1d(grid: Grid1, coeffs: Coeffs1D, w0, m0, t_end: float, dt: float):
+    """March (w, m) from t = 0 to t_end, shortening the final step to land
     exactly on t_end.  Returns (w, m, t)."""
     w = np.asarray(w0, dtype=float).copy()
     m = np.asarray(m0, dtype=float).copy()
-    t = t0
+    t = 0.0
     while t < t_end - 1e-12 * max(1.0, t_end):
         step = min(dt, t_end - t)
         w, m = step1d(grid, w, m, coeffs, step, t + step)

@@ -119,7 +119,7 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
     SolverError.
     """
     model = cfg.petro()
-    wells = cfg.wells() if cfg.Q > 0.0 else None
+    wells = cfg.wells()
     t_final = cfg.tstop if t_end is None else t_end
 
     state = init_state(cfg)

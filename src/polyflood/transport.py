@@ -65,19 +65,20 @@ class State:
             setattr(self, name, arr)
 
     @classmethod
-    def quiescent(cls, grid: Grid2, s, c, t: float = 0.0) -> "State":
+    def quiescent(cls, grid: Grid2, s, c) -> "State":
         z = np.zeros(grid.shape)
-        return cls(grid, t, s, c, z.copy(), z.copy(), z.copy())
+        return cls(grid, 0.0, s, c, z.copy(), z.copy(), z.copy())
 
 
 @dataclass(frozen=True)
 class StepParams:
-    """Per-step data shared by the transport updates."""
+    """Per-step data shared by the transport updates; the default wells
+    have rate 0, so no source enters."""
 
     dt: float
     phi: float = 1.0
     K: float = 1.0
-    wells: WellConfig | None = None
+    wells: WellConfig = WellConfig(rate=0.0)
     lin_tol: float = 1e-12
 
     def __post_init__(self):
@@ -135,9 +136,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     dcdx = np.gradient(state.c, hx, axis=1, edge_order=2)
     dcdy = np.gradient(state.c, hy, axis=0, edge_order=2)
     rhs_density = (phi / dt) * sbar - laws.df_dc * (state.vx * dcdx + state.vy * dcdy)
-    if params.wells is not None and params.wells.rate != 0.0:
-        sigma = injection_density(grid, params.wells)
-        rhs_density += (1.0 - laws.f) * sigma
+    rhs_density += (1.0 - laws.f) * injection_density(grid, params.wells)
     del laws
 
     # face coefficients from the traced saturation and old concentration
@@ -171,16 +170,10 @@ def concentration_step(state: State, s_new, model, params: StepParams) -> np.nda
         state, s_new, model.evaluate(s_new, state.c, params.K), params)
     cbar = interp_bilinear(grid, state.c, xbar.ravel(), ybar.ravel()).reshape(grid.shape)
 
-    g = np.zeros(grid.shape)
-    g_c = np.zeros(grid.shape)
-    c_cap = float(np.max(state.c))
-    if params.wells is not None and params.wells.rate != 0.0:
-        g = injection_density(grid, params.wells) / s_new
-        g_c = params.wells.c_injected * g
-        c_cap = max(c_cap, params.wells.c_injected)
-
+    c_in = params.wells.c_injected
+    g = injection_density(grid, params.wells) / s_new
     denom = phi / dt + g
     if np.any(denom <= 0.0):
         raise ValueError("nonpositive reaction denominator in concentration update")
-    c_new = ((phi / dt) * cbar + g_c) / denom
-    return np.clip(c_new, 0.0, c_cap)
+    c_new = ((phi / dt) * cbar + c_in * g) / denom
+    return np.clip(c_new, 0.0, max(float(np.max(state.c)), c_in))

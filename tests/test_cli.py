@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from polyflood import cli
+from polyflood import PetroModel, cli
 from polyflood.config import RunConfig, parse_config
 from polyflood.grids import read_field
 from polyflood.linsolve import SolverError
@@ -30,6 +30,10 @@ def test_config_file_feeds_the_run(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg)])
     assert code == 0
     assert "steps 2" in capsys.readouterr().out
+
+
+def test_run_config_defaults_are_the_petro_defaults():
+    assert RunConfig().petro() == PetroModel()
 
 
 def test_flag_overrides_beat_the_file(tmp_path, capsys):

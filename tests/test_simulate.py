@@ -50,6 +50,9 @@ def test_uniform_state_without_wells_is_a_fixed_point():
     assert result.summary.steps == 4
     assert np.allclose(result.state.s, 0.8, atol=1e-9)
     assert np.allclose(result.state.c, 0.1, atol=1e-9)
+    # a zero rate loads nothing, so the pressure and the flow stay exactly 0
+    for name in ("p", "vx", "vy"):
+        assert np.all(getattr(result.state, name) == 0.0), name
 
 
 def test_bounds_hold_through_a_run():
