@@ -10,7 +10,7 @@ Subcommands:
 
 `--config` points at a flat key = value file; the remaining flags override
 individual keys.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure, 4 verification failure.
+failure or a grid too large to allocate, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -230,6 +230,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as err:
+        print("out of memory:", str(err) or "allocation failed", file=sys.stderr)
         return EXIT_SOLVER
 
 

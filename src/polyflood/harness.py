@@ -18,6 +18,7 @@ is deterministic: no randomness enters the pipeline anywhere.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -123,6 +124,8 @@ class RefinementStudy:
                                       f"strict multiple of every level (got {n})")
         else:
             dts = [float(d) for d in self.levels]
+            if not all(0.0 < d < math.inf for d in (*dts, float(self.reference))):
+                raise ConfigError("time steps must be positive and finite")
             if dts != sorted(dts, reverse=True):
                 raise ConfigError("temporal levels must shrink monotonically")
             if not float(self.reference) < min(dts):

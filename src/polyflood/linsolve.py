@@ -19,11 +19,12 @@ cholesky_banded and cho_solve_banded wrap, without their per-call
 overhead); a non-finite band or a nonzero info raises SolverError.
 
 What depends on the grid shape only is built once per shape and cached
-read-only: the 5-point CSR structure (indptr, indices and where each
-stored entry comes from) and the prolongation and restriction.  What
-depends on the coefficients is made per call: five_point fills that
-structure's values, and multigrid forms the Galerkin products, smoother
-weights and coarsest factor of the matrix it is given.
+read-only: the 5- and 9-point CSR structures, the prolongation and
+restriction, and per coarsening level the linear map from an operator's
+values to its Galerkin coarse operator's, about 240 bytes per fine node
+(2.3 MB at N = 96).  What depends on the coefficients is made per call:
+five_point fills the 5-point values, and multigrid applies the maps (one
+sparse product per level) and forms smoother weights and coarsest factor.
 """
 
 from __future__ import annotations
@@ -81,26 +82,32 @@ class SparseSystem:
 
 
 @functools.lru_cache(maxsize=16)
-def _five_point_pattern(nx: int, ny: int):
-    """CSR structure of the 5-point operator on an nx-by-ny grid's nodes.
-
-    Returns indptr, indices and, for each stored entry, its index into a
-    flattened (5, ny+1, nx+1) stack of south, west, centre, east and north
-    couplings.  Every neighbour inside the grid is stored, zero or not, so
-    the structure depends on the shape only; all three arrays are shared
-    between calls and read-only.
+def _stencil_pattern(nx: int, ny: int, points: int):
+    """CSR structure of a symmetric 5- or 9-point operator on an nx-by-ny
+    grid's nodes: indptr, indices and, for each stored entry, its index
+    into a flattened (points // 2 + 1, ny+1, nx+1) stack of the upper
+    couplings (the centre, then east and north for 5 points; east,
+    north-west, north and north-east for 9).  An entry below the diagonal
+    reads its mirror, at the other node.  Every neighbour inside the grid
+    is stored, zero or not, so the structure depends on the shape only;
+    all three arrays are shared between calls and read-only.
     """
+    offsets = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)
+               if points == 9 or abs(di) + abs(dj) <= 1]
     i = np.arange(nx + 1)
     j = np.arange(ny + 1)[:, None]
-    present = np.stack(np.broadcast_arrays(j > 0, i > 0, True, i < nx, j < ny))
-    node, plane = np.nonzero(present.reshape(5, -1).T)
-    offset = np.array([-(nx + 1), -1, 0, 1, nx + 1])
-    indices = (node + offset[plane]).astype(np.int32)
+    present = np.stack([(0 <= i + di) & (i + di <= nx) & (0 <= j + dj)
+                        & (j + dj <= ny) for di, dj in offsets])
+    node, which = np.nonzero(present.reshape(points, -1).T)
+    shift = np.array([dj * (nx + 1) + di for di, dj in offsets])
+    indices = (node + shift[which]).astype(np.int32)
     nodes = i.size * j.size
     indptr = np.zeros(nodes + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=0).ravel(), out=indptr[1:])
+    # offsets are symmetric about the centre, at points // 2
+    plane = np.abs(which - points // 2)
     # int32 halves what each shape keeps, and take() reads it as it is
-    gather = (plane * nodes + node).astype(np.int32)
+    gather = (plane * nodes + np.minimum(node, indices)).astype(np.int32)
     for array in (indptr, indices, gather):
         array.flags.writeable = False
     return indptr, indices, gather
@@ -120,18 +127,18 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.csr_matrix:
     if fx.shape != (ny + 1, nx) or fy.shape != (ny, nx + 1):
         raise ValueError(f"face coefficients of shape {fx.shape}, {fy.shape} "
                          f"do not fit a {nx}x{ny} grid")
-    indptr, indices, gather = _five_point_pattern(nx, ny)
-    # faces past the walls stay 0: right of the last column, left of the
-    # first, below the first row and above the last
-    stack = np.zeros((5, ny + 1, nx + 1))
-    south, west, centre, east, north = stack
+    indptr, indices, gather = _stencil_pattern(nx, ny, 5)
+    # faces past the walls stay 0; the centre adds east, west, north and
+    # south in that order, which fixes its rounding
+    stack = np.zeros((3, ny + 1, nx + 1))
+    centre, east, north = stack
     east[:, :-1] = fx
-    west[:, 1:] = fx
     north[:-1] = fy
-    south[1:] = fy
-    centre[...] = mass + east + west + north + south
-    np.negative(stack[:2], out=stack[:2])
-    np.negative(stack[3:], out=stack[3:])
+    centre[...] = mass + east
+    centre[:, 1:] += fx
+    centre += north
+    centre[1:] += fy
+    np.negative(stack[1:], out=stack[1:])
     return sparse.csr_matrix((stack.take(gather), indices, indptr),
                              shape=(grid.nnodes, grid.nnodes))
 
@@ -145,19 +152,15 @@ def _inverse_diagonal(A) -> np.ndarray:
 
 def _interpolation_1d(n: int) -> sparse.csr_matrix:
     """Linear interpolation onto the n + 1 nodes of n cells from every
-    other node, plus the last node when n is odd; shape (n+1, nc+1)."""
-    coarse = np.arange(0, n + 1, 2)
-    if n % 2:
-        coarse = np.append(coarse, n)
+    other node, plus the last node when n is odd; shape (n+1, nc+1).  Each
+    fine node takes half from the coarse node at or left of it and half
+    from the one at or right of it, the same node where the grids meet."""
     fine = np.arange(n + 1)
-    m = np.minimum(np.searchsorted(coarse, fine, side="right") - 1,
-                   coarse.size - 2)
-    w = (fine - coarse[m]) / (coarse[m + 1] - coarse[m])
-    P = sparse.csr_matrix((np.concatenate([1.0 - w, w]),
-                           (np.tile(fine, 2), np.concatenate([m, m + 1]))),
-                          shape=(n + 1, coarse.size))
-    P.eliminate_zeros()
-    return P
+    left, right = fine // 2, (fine + 1) // 2
+    left[-1] = right[-1]  # the last node is a coarse one, n odd or even
+    return sparse.csr_matrix((np.full(2 * n + 2, 0.5),
+                              (np.tile(fine, 2), np.concatenate([left, right]))),
+                             shape=(n + 1, right[-1] + 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -167,6 +170,66 @@ def _prolongation(nx: int, ny: int):
     (ny+1)//2 cells."""
     P = sparse.kron(_interpolation_1d(ny), _interpolation_1d(nx), format="csr")
     return P, P.T.tocsr()
+
+
+# one entry per coarsening level, so a hierarchy of up to 8 (N = 4096)
+# keeps all of its maps instead of evicting its own first level
+@functools.lru_cache(maxsize=8)
+def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
+    """R A P on an nx-by-ny grid as one read-only linear map G: for A
+    symmetric in the shape's points-stencil structure, G @ A.data is the
+    upper stack (see _stencil_pattern) of R A P in the coarse 9-point
+    structure.  A's entry (k, l), k <= l, stands for A_lk too: it adds
+    P_kI P_lJ + P_kJ P_lI to the coupling of each pair of coarse nodes
+    I <= J, one a parent of k and the other of l, and half that for k = l.
+    """
+    indptr, indices, _ = _stencil_pattern(nx, ny, points)
+    P = _prolongation(nx, ny)[0]
+    width = (nx + 1) // 2 + 1
+    coarse = width * ((ny + 1) // 2 + 1)
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32),
+                     np.diff(indptr))
+    entry = np.flatnonzero(indices >= rows).astype(np.int32)
+    k, l = rows[entry], indices[entry]
+    # a fine node's parents fill a box, one or two coarse nodes a side, of
+    # equal weights: relative to k's first parent, the pairs and weights of
+    # (k, l) depend only on both boxes' sides, l's start and whether k = l
+    first, last = P.indices[P.indptr[:-1]], P.indices[P.indptr[1:] - 1]
+    x, y = first % width, first // width
+    wide, tall = last % width - x, last // width - y
+    shape = (2, 2, 2, 2, 3, 3, 2)
+    kind = np.ravel_multi_index((wide[k], tall[k], wide[l], tall[l],
+                                 x[l] - x[k] + 1, y[l] - y[k] + 1, k == l), shape)
+    gptr = np.zeros(indices.size + 1, dtype=np.int32)
+    templates = []
+    for code in np.unique(kind):
+        wk, tk, wl, tl, dx, dy, diag = np.unravel_index(code, shape)
+        pairs = {}
+        for iy, ix, jy, jx in np.ndindex(tk + 1, wk + 1, tl + 1, wl + 1):
+            I, J = (iy, ix), (dy - 1 + jy, dx - 1 + jx)
+            (ly, lx), (hy, hx) = sorted((I, J))
+            # upper planes: centre, east, north-west, north, north-east
+            slot = (3 * (hy - ly) + hx - lx) * coarse + ly * width + lx
+            pairs[slot] = pairs.get(slot, 0) + 1 + (I == J)
+        sel = np.flatnonzero(kind == code)
+        gptr[entry[sel] + 1] = len(pairs)
+        scale = (1 + wk) * (1 + tk) * (1 + wl) * (1 + tl) * (1 + diag)
+        templates.append((sel, np.fromiter(pairs, np.int32),
+                          np.fromiter(pairs.values(), float) / scale))
+    np.cumsum(gptr, out=gptr)
+    cols = np.empty(gptr[-1], dtype=np.int32)
+    weights = np.empty(gptr[-1])
+    for sel, offsets, values in templates:
+        dest = gptr[entry[sel], None] + np.arange(offsets.size, dtype=np.int32)
+        cols[dest] = first[k[sel], None] + offsets
+        weights[dest] = values
+    # filled by fine entry; as CSR it is 8% smaller than that transpose
+    # and about 30% faster to apply
+    G = sparse.csr_matrix((weights, cols, gptr),
+                          shape=(indices.size, 5 * coarse)).T.tocsr()
+    for array in (G.indptr, G.indices, G.data):
+        array.flags.writeable = False
+    return G
 
 
 def _banded_cholesky(A) -> np.ndarray:
@@ -197,19 +260,27 @@ def multigrid(A, grid):
     hierarchy follows A's coefficients, jumps and pinned rows included.
     Returns a function r -> z that applies one V-cycle from a zero guess;
     it is symmetric positive definite, as solve_cg's M must be.  Raises
-    SolverError if A has a non-finite entry, if any level's diagonal is not
-    positive and finite, or if the coarsest level is not positive definite.
+    SolverError if A has a non-finite entry or not the grid's 5-point
+    structure (five_point's), if any level's diagonal is not positive and
+    finite, or if the coarsest level is not positive definite.
     """
     A = sparse.csr_matrix(A)
     if not np.all(np.isfinite(A.data)):
         raise SolverError("matrix entries not finite")
+    nx, ny, points = grid.nx, grid.ny, 5
+    indptr, indices, _ = _stencil_pattern(nx, ny, points)
+    if not (np.array_equal(A.indptr, indptr)
+            and np.array_equal(A.indices, indices)):
+        raise SolverError("matrix does not have the grid's 5-point structure")
     levels = []
-    nx, ny = grid.nx, grid.ny
     while (nx + 1) * (ny + 1) > COARSEST_NODES:
         P, R = _prolongation(nx, ny)
         levels.append((A, SMOOTH_OMEGA * _inverse_diagonal(A), P, R))
-        A = R @ A @ P
-        nx, ny = (nx + 1) // 2, (ny + 1) // 2
+        coarse_upper = _galerkin_map(nx, ny, points) @ A.data
+        nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
+        indptr, indices, expand = _stencil_pattern(nx, ny, points)
+        A = sparse.csr_matrix((coarse_upper.take(expand), indices, indptr),
+                              shape=(indptr.size - 1,) * 2)
     factor = _banded_cholesky(A)
 
     # a loop, not recursion: a self-referencing closure would keep every

@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from polyflood import PetroModel, cli
+from polyflood import PetroModel, cli, harness
 from polyflood.config import RunConfig, parse_config
-from polyflood.grids import read_field
+from polyflood.grids import Grid2, read_field
 from polyflood.linsolve import SolverError
 from polyflood.simulate import run_simulation
 
@@ -101,6 +101,33 @@ def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+def test_bad_temporal_study_exits_2_before_any_run(monkeypatch, capsys):
+    # the infinite level once passed the study and the reference ran first
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(harness, "run_simulation", no_run)
+    assert cli.main(["study-temporal", "--levels", "inf,0.05",
+                     "--reference", "0.00625", "--tstop", "0.1"]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, shown", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                 "(1000001, 1000001) and data type float64"), "7.28 TiB"),
+    (MemoryError(), "allocation failed")], ids=["numpy", "bare"])
+def test_a_grid_too_large_to_allocate_exits_3(error, shown, monkeypatch,
+                                               capsys):
+    # a grid of a million cells a side once ended in numpy's traceback and
+    # exit 1; the allocation fails here without allocating anything
+    def unable(grid):
+        raise error
+    monkeypatch.setattr(Grid2, "xy", property(unable))
+    assert cli.main(["run", "--nx", "8", "--tstop", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and shown in err
+    assert err.count("\n") == 1
+
 
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(cfg):

@@ -115,6 +115,18 @@ def test_spatial_study_wants_integral_grid_sizes():
             RefinementStudy("spatial", levels, reference, base)
 
 
+def test_temporal_study_wants_positive_finite_steps():
+    # an infinite, zero or negative step once passed construction, so the
+    # CLI ran the whole reference before RunConfig rejected a level
+    base = RunConfig()
+    RefinementStudy("temporal", (0.05, 0.025), 0.0125, base)
+    for levels, reference in (((math.inf, 0.05), 0.01), ((0.05, 0.025), 0.0),
+                              ((0.05, 0.025), -1.0), ((0.05, -0.025), -0.05),
+                              ((math.nan, 0.05), 0.01), ((0.05, 0.025), math.nan)):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            RefinementStudy("temporal", levels, reference, base)
+
+
 def test_record_defaults():
     r = ErrorRecord("s", 0.125, 0.02, 1e-3, 2e-3)
     assert r.order2 is None and r.orderinf is None and r.time == 0.0

@@ -406,6 +406,117 @@ def test_multigrid_rejects_broken_matrices(g):
     assert err.value.iterations <= 1
 
 
+def multigrid_levels(monkeypatch, solve):
+    """Every level's operator that multigrid builds while solve() runs,
+    finest first: each level but the coarsest passes _inverse_diagonal, the
+    coarsest _banded_cholesky."""
+    seen = []
+    for name in ("_inverse_diagonal", "_banded_cholesky"):
+        real = getattr(polyflood.linsolve, name)
+        monkeypatch.setattr(polyflood.linsolve, name,
+                            lambda A, real=real: seen.append(A) or real(A))
+    solve()
+    return seen
+
+
+def bilinear_prolongation(nx, ny):
+    """Bilinear P from its definition: a fine node interpolates linearly
+    between the coarse nodes on either side of it, in x and in y; the
+    coarse nodes are every other fine node and the last one."""
+    def one_d(n):
+        coarse = list(range(0, n + 1, 2)) + ([n] if n % 2 else [])
+        P = np.zeros((n + 1, len(coarse)))
+        for m, (a, b) in enumerate(zip(coarse, coarse[1:])):
+            for f in range(a, b + 1):
+                P[f, m], P[f, m + 1] = (b - f) / (b - a), (f - a) / (b - a)
+        return sparse.csr_matrix(P)
+    return sparse.kron(one_d(ny), one_d(nx), format="csr")
+
+
+def nine_point_columns(nx, ny):
+    """Sorted columns of each row of the full 9-point stencil on an
+    nx-by-ny grid's nodes: every neighbour inside the grid."""
+    return [[jj * (nx + 1) + ii for jj in (j - 1, j, j + 1)
+             for ii in (i - 1, i, i + 1) if 0 <= ii <= nx and 0 <= jj <= ny]
+            for j in range(ny + 1) for i in range(nx + 1)]
+
+
+@pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
+@pytest.mark.parametrize("g", [Grid2(33, 65), Grid2(40, 23), Grid2(97, 97),
+                               Grid2(17, 300)],
+                         ids=["33x65", "40x23", "97x97", "17x300"])
+def test_coarse_operators_are_galerkin_products(g, system, monkeypatch):
+    # each shape's cached maps give R A P to rounding, with the pressure
+    # pin's zeroed row and column and with faces that are exactly 0, and
+    # store it in the coarse grid's full 9-point structure
+    if system == "pinned-pressure":
+        s, c = random_state(g, seed=5)
+        sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
+        levels = multigrid_levels(monkeypatch, lambda: solve_pressure(sys, g))
+    else:
+        rng = np.random.default_rng(7)
+        fx = rng.uniform(0.1, 10.0, (g.ny + 1, g.nx))
+        fy = rng.uniform(0.1, 10.0, (g.ny, g.nx + 1))
+        fx[rng.random(fx.shape) < 0.2] = 0.0
+        fy[rng.random(fy.shape) < 0.2] = 0.0
+        A = five_point(g, fx, fy, mass=rng.uniform(0.5, 2.0, g.shape))
+        levels = multigrid_levels(monkeypatch, lambda: multigrid(A, g))
+    nx, ny = g.nx, g.ny
+    assert len(levels) >= 2
+    for fine, coarse in zip(levels, levels[1:]):
+        P = bilinear_prolongation(nx, ny)
+        galerkin = P.T @ fine @ P
+        nx, ny = (nx + 1) // 2, (ny + 1) // 2
+        assert coarse.shape == galerkin.shape == ((nx + 1) * (ny + 1),) * 2
+        assert abs(coarse - galerkin).max() <= 1e-14 * abs(galerkin).max()
+        rows = np.split(coarse.indices, coarse.indptr[1:-1])
+        assert [list(row) for row in rows] == nine_point_columns(nx, ny)
+
+
+def test_multigrid_wants_the_five_point_structure():
+    # the coarse operators are read from A's values by position, so a
+    # matrix in any other structure is refused rather than misread
+    g = Grid2(40, 23)
+    A = spd_five_point(g, seed=2)
+    multigrid(A.tocoo(), g)  # the same structure in another format
+    dropped = A.copy()
+    dropped.data[5] = 0.0
+    dropped.eliminate_zeros()
+    transposed_grid = spd_five_point(Grid2(23, 40), seed=2)  # as many nodes
+    for bad, grid in ((dropped, g), (transposed_grid, g), (A @ A, g),
+                      (sparse.identity(g.nnodes, format="csr"), g),
+                      (sparse.identity(81, format="csr"), Grid2(8, 8))):
+        with pytest.raises(SolverError, match="5-point structure"):
+            multigrid(bad, grid)
+
+
+def test_galerkin_maps_are_built_once_per_shape_and_read_only():
+    galerkin = polyflood.linsolve._galerkin_map
+    galerkin.cache_clear()
+    small = Grid2(12, 12)  # one level: nothing coarsens, nothing is kept
+    multigrid(spd_five_point(small, seed=1), small)
+    assert galerkin.cache_info().currsize == 0
+    g = Grid2(97, 97)  # coarsens to 49, 25 and 13 cells a side
+    for seed in (1, 2):
+        multigrid(spd_five_point(g, seed=seed), g)
+    info = galerkin.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    for shape in ((97, 97, 5), (49, 49, 9), (25, 25, 9)):
+        G = galerkin(*shape)
+        for array in (G.data, G.indices, G.indptr):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            G.data[0] = 1.0
+    # five coarsenings, 2400 x 2 to 75 x 1 cells, more than a cache of
+    # four maps held: every solve rebuilt every level
+    galerkin.cache_clear()
+    deep = Grid2(2400, 2)
+    for seed in (1, 2):
+        multigrid(spd_five_point(deep, seed=seed), deep)
+    info = galerkin.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+
+
 def test_nonfinite_rhs_raises_at_once():
     g = Grid2(4, 4)
     s, c = random_state(g)
