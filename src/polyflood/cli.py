@@ -23,9 +23,9 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config, parse_value
 from .grids import Grid1, interp_linear
-from .harness import (RefinementStudy, error_norms_1d, format_records,
-                      observed_order, run_spatial_study, run_temporal_study,
-                      write_records_csv)
+from .harness import (STUDY_BASE, RefinementStudy, error_norms_1d,
+                      format_records, observed_order, run_spatial_study,
+                      run_temporal_study, write_records_csv)
 from .linsolve import SolverError
 from .reduced1d import (characteristic_derivative_check, diffusion_stencil_check,
                         manufactured_problem, run1d)
@@ -39,7 +39,7 @@ EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, base: RunConfig = RunConfig()) -> RunConfig:
     overrides = {
         "N": getattr(args, "nx", None),
         "dt": getattr(args, "dt", None),
@@ -48,9 +48,12 @@ def _load_config(args) -> RunConfig:
         "out": args.out,
     }
     try:
-        return parse_config(args.config, overrides)
+        return parse_config(args.config, overrides, base)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {err.filename}") from err
+    except OSError as err:  # a directory, say, or no permission to read
+        raise ConfigError(f"cannot read config file '{args.config}': "
+                          f"{err.strerror}") from err
 
 
 def _cmd_run(args) -> int:
@@ -76,7 +79,7 @@ def _numeric(text: str) -> float:
 
 
 def _cmd_study(args, mode: str) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, STUDY_BASE if args.config is None else RunConfig())
     levels = tuple(_numeric(v) for v in args.levels.split(","))
     reference = _numeric(args.reference)
     study = RefinementStudy(mode, levels, reference, cfg)

@@ -9,7 +9,7 @@ Values may be integers, floats, or simple fractions such as 2/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .petro import PetroModel
@@ -134,8 +134,9 @@ def parse_value(text: str):
     return text
 
 
-def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    """Read a config file (optional) and apply overrides on top of defaults."""
+def parse_config(path, overrides: dict | None = None,
+                 base: RunConfig = RunConfig()) -> RunConfig:
+    """Read a config file (optional); apply it, then overrides, to base."""
     values: dict = {}
     if path is not None:
         text = Path(path).read_text()
@@ -163,6 +164,6 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"config key '{key}' wants a number, "
                               f"got {values[key]!r}")
     try:
-        return RunConfig(**values)
+        return replace(base, **values)
     except TypeError as err:
         raise ConfigError(str(err)) from err

@@ -29,8 +29,12 @@ from .config import ConfigError, RunConfig
 from .grids import Grid1, Grid2
 from .simulate import run_simulation
 
+# The CLI's studies run on this base without a config file: bump wells keep
+# the corner velocity bounded under refinement, where a point well's is not.
+STUDY_BASE = RunConfig(tstop=0.4, Q=1.0, well_radius=0.2)
+
 __all__ = [
-    "ErrorRecord", "RefinementStudy",
+    "STUDY_BASE", "ErrorRecord", "RefinementStudy",
     "restrict_to_coarse", "error_norms", "error_norms_1d", "observed_order",
     "run_spatial_study", "run_temporal_study",
     "write_records_csv", "format_records",

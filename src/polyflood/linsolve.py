@@ -12,19 +12,23 @@ P^T A P, damped-Jacobi smoothing, and an exact banded Cholesky solve on
 the coarsest level (Briggs, Henson & McCormick, A Multigrid Tutorial,
 2000).  With it, the conjugate-gradient iteration count stays flat as the
 grid is refined, where Jacobi preconditioning grows linearly with N, so
-solve_cg caps every solve at MULTIGRID_MAX_ITER iterations.  The
-coarsest level is factored with LAPACK's dpbtrf and each V-cycle solves
-with dpbtrs, both called directly (the routines that scipy.linalg's
-cholesky_banded and cho_solve_banded wrap, without their per-call
-overhead); a non-finite band or a nonzero info raises SolverError.
+solve_cg caps every solve at MULTIGRID_MAX_ITER iterations.  LAPACK's
+dpbtrf and dpbtrs, called directly, factor and solve the coarsest level.
+
+Each level is held as its planes, every node's coupling to itself and to
+its neighbours further on in the node order.  Sliced, they are the rows
+of the DIA matrix that makes the level's products (scipy's dia_matvec
+sums a row in a CSR row's order, so the bits are the same), the band of
+the coarsest level, and the input of the next level's Galerkin map.
 
 What depends on the grid shape only is built once per shape and cached
-read-only: the 5- and 9-point CSR structures, the prolongation and
-restriction, and per coarsening level the linear map from an operator's
-values to its Galerkin coarse operator's, about 240 bytes per fine node
-(2.3 MB at N = 96).  What depends on the coefficients is made per call:
-five_point fills the 5-point values, and multigrid applies the maps (one
-sparse product per level) and forms smoother weights and coarsest factor.
+read-only: the 5- and 9-point CSR structures and their maps to and from
+planes, the prolongation and restriction, and per coarsening level the
+linear map from its planes to the next level's: about 410 bytes per fine
+node, 245 of them the maps (3.7 MB at N = 96).  Per call, five_point
+fills the 5-point values; multigrid takes the finest planes from them,
+applies the maps (one sparse product per level) and slices each level's
+DIA matrix, smoother weights and band.
 """
 
 from __future__ import annotations
@@ -84,13 +88,14 @@ class SparseSystem:
 @functools.lru_cache(maxsize=16)
 def _stencil_pattern(nx: int, ny: int, points: int):
     """CSR structure of a symmetric 5- or 9-point operator on an nx-by-ny
-    grid's nodes: indptr, indices and, for each stored entry, its index
-    into a flattened (points // 2 + 1, ny+1, nx+1) stack of the upper
-    couplings (the centre, then east and north for 5 points; east,
-    north-west, north and north-east for 9).  An entry below the diagonal
-    reads its mirror, at the other node.  Every neighbour inside the grid
-    is stored, zero or not, so the structure depends on the shape only;
-    all three arrays are shared between calls and read-only.
+    grid's nodes, indptr and indices, and its maps to and from the planes,
+    a flattened (points // 2 + 1, ny+1, nx+1) stack of the upper couplings
+    (the centre, then east and north for 5 points; east, north-west, north
+    and north-east for 9): gather gives each entry's slot (one below the
+    diagonal reads its mirror), source each slot's entry on or above it (0
+    past the grid's edge).  Every neighbour inside the grid is stored, so
+    the structure depends on the shape only; all four arrays are shared
+    between calls and read-only.
     """
     offsets = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)
                if points == 9 or abs(di) + abs(dj) <= 1]
@@ -108,9 +113,29 @@ def _stencil_pattern(nx: int, ny: int, points: int):
     plane = np.abs(which - points // 2)
     # int32 halves what each shape keeps, and take() reads it as it is
     gather = (plane * nodes + np.minimum(node, indices)).astype(np.int32)
-    for array in (indptr, indices, gather):
+    upper = np.flatnonzero(which >= points // 2)
+    source = np.zeros((points // 2 + 1) * nodes, dtype=np.int32)
+    source[gather[upper]] = upper
+    for array in (indptr, indices, gather, source):
         array.flags.writeable = False
-    return indptr, indices, gather
+    return indptr, indices, gather, source
+
+
+def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
+    """The symmetric operator that couples node k to k + shifts[p] by
+    planes[p, k], as a DIA matrix with ascending offsets: its product sums
+    each row in column order, as a CSR product does, so the bits agree.
+    On a grid one cell wide the east and north-west couplings share an
+    offset, and never a node, so they add."""
+    n = planes.shape[1]
+    offsets = sorted({*shifts, *(-s for s in shifts)})
+    data = np.zeros((len(offsets), n))
+    for s, plane in zip(shifts, planes):
+        # row -s holds A[j + s, j] at column j, row +s holds A[j - s, j]
+        data[offsets.index(-s), :n - s] += plane[:n - s]
+        if s:
+            data[offsets.index(s), s:] += plane[:n - s]
+    return sparse.dia_matrix((data, offsets), shape=(n, n))
 
 
 def five_point(grid, fx, fy, mass=0.0) -> sparse.csr_matrix:
@@ -127,7 +152,7 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.csr_matrix:
     if fx.shape != (ny + 1, nx) or fy.shape != (ny, nx + 1):
         raise ValueError(f"face coefficients of shape {fx.shape}, {fy.shape} "
                          f"do not fit a {nx}x{ny} grid")
-    indptr, indices, gather = _stencil_pattern(nx, ny, 5)
+    indptr, indices, gather, _ = _stencil_pattern(nx, ny, 5)
     # faces past the walls stay 0; the centre adds east, west, north and
     # south in that order, which fixes its rounding
     stack = np.zeros((3, ny + 1, nx + 1))
@@ -141,13 +166,6 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.csr_matrix:
     np.negative(stack[1:], out=stack[1:])
     return sparse.csr_matrix((stack.take(gather), indices, indptr),
                              shape=(grid.nnodes, grid.nnodes))
-
-
-def _inverse_diagonal(A) -> np.ndarray:
-    diag = A.diagonal()
-    if not (np.all(diag > 0.0) and np.all(diag < np.inf)):
-        raise SolverError("matrix diagonal not positive and finite")
-    return 1.0 / diag
 
 
 def _interpolation_1d(n: int) -> sparse.csr_matrix:
@@ -177,13 +195,13 @@ def _prolongation(nx: int, ny: int):
 @functools.lru_cache(maxsize=8)
 def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
     """R A P on an nx-by-ny grid as one read-only linear map G: for A
-    symmetric in the shape's points-stencil structure, G @ A.data is the
-    upper stack (see _stencil_pattern) of R A P in the coarse 9-point
-    structure.  A's entry (k, l), k <= l, stands for A_lk too: it adds
-    P_kI P_lJ + P_kJ P_lI to the coupling of each pair of coarse nodes
-    I <= J, one a parent of k and the other of l, and half that for k = l.
+    symmetric with a points-stencil, G @ planes maps A's planes (see
+    _stencil_pattern) to those of R A P.  A's entry (k, l), k <= l,
+    stands for A_lk too: it adds P_kI P_lJ + P_kJ P_lI to the coupling of
+    each pair of coarse nodes I <= J, one a parent of k and the other of
+    l, and half that for k = l.
     """
-    indptr, indices, _ = _stencil_pattern(nx, ny, points)
+    indptr, indices, gather, _ = _stencil_pattern(nx, ny, points)
     P = _prolongation(nx, ny)[0]
     width = (nx + 1) // 2 + 1
     coarse = width * ((ny + 1) // 2 + 1)
@@ -224,26 +242,24 @@ def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
         cols[dest] = first[k[sel], None] + offsets
         weights[dest] = values
     # filled by fine entry; as CSR it is 8% smaller than that transpose
-    # and about 30% faster to apply
+    # and about 30% faster to apply.  Its columns then move from entries
+    # to plane slots, and each row keeps the order its sum is taken in.
     G = sparse.csr_matrix((weights, cols, gptr),
                           shape=(indices.size, 5 * coarse)).T.tocsr()
+    G = sparse.csr_matrix((G.data, gather.take(G.indices), G.indptr),
+                          shape=(5 * coarse, (points // 2 + 1) * (indptr.size - 1)))
     for array in (G.indptr, G.indices, G.data):
         array.flags.writeable = False
     return G
 
 
-def _banded_cholesky(A) -> np.ndarray:
-    """Lower banded Cholesky factor of a sparse SPD matrix in CSR form,
-    from LAPACK's dpbtrf."""
-    n = A.shape[0]
-    row = np.repeat(np.arange(n), np.diff(A.indptr))
-    low = row >= A.indices
-    col = A.indices[low]
-    band = row[low] - col
-    width = int(band.max()) + 1
-    # bincount adds duplicate entries, as a COO build does
-    ab = np.bincount(band * n + col, weights=A.data[low],
-                     minlength=width * n).reshape(width, n)
+def _banded_cholesky(planes, shifts) -> np.ndarray:
+    """Lower banded Cholesky factor, from LAPACK's dpbtrf, of the SPD
+    operator of _stencil_operator(planes, shifts): band row s is the plane
+    of shift s."""
+    ab = np.zeros((max(shifts) + 1, planes.shape[1]))
+    for s, plane in zip(shifts, planes):
+        ab[s] += plane
     if not np.all(np.isfinite(ab)):
         raise SolverError("coarsest level not finite")
     factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
@@ -258,30 +274,41 @@ def multigrid(A, grid):
 
     Coarse operators are Galerkin products P^T A P with bilinear P, so the
     hierarchy follows A's coefficients, jumps and pinned rows included.
-    Returns a function r -> z that applies one V-cycle from a zero guess;
-    it is symmetric positive definite, as solve_cg's M must be.  Raises
-    SolverError if A has a non-finite entry or not the grid's 5-point
-    structure (five_point's), if any level's diagonal is not positive and
-    finite, or if the coarsest level is not positive definite.
+    Of A only the diagonal and upper triangle are read.  Returns a
+    function r -> z that applies one V-cycle from a zero guess; it is
+    symmetric positive definite, as solve_cg's M must be.  Its attribute
+    operator is A for solve_cg: the V-cycle's DIA matrix, whose products
+    have the bits of A's, or A itself if the cycle is one exact solve.
+    Raises SolverError if A has a non-finite entry or not the grid's
+    5-point structure (five_point's), if any level's diagonal is not
+    positive and finite, or if the coarsest level is not positive definite.
     """
     A = sparse.csr_matrix(A)
     if not np.all(np.isfinite(A.data)):
         raise SolverError("matrix entries not finite")
     nx, ny, points = grid.nx, grid.ny, 5
-    indptr, indices, _ = _stencil_pattern(nx, ny, points)
-    if not (np.array_equal(A.indptr, indptr)
+    indptr, indices, _, source = _stencil_pattern(nx, ny, points)
+    # five_point's structure, shared (indices as a whole view), is not compared
+    if not (A.indptr is indptr and A.indices.base is indices
+            and A.indices.strides == indices.strides
+            or np.array_equal(A.indptr, indptr)
             and np.array_equal(A.indices, indices)):
         raise SolverError("matrix does not have the grid's 5-point structure")
+    planes = A.data.take(source).reshape(3, ny + 1, nx + 1)
+    # past the east and the north edge there is no neighbour
+    planes[1, :, -1] = planes[2, -1] = 0.0
+    planes, shifts = planes.reshape(3, -1), (0, 1, nx + 1)
     levels = []
     while (nx + 1) * (ny + 1) > COARSEST_NODES:
-        P, R = _prolongation(nx, ny)
-        levels.append((A, SMOOTH_OMEGA * _inverse_diagonal(A), P, R))
-        coarse_upper = _galerkin_map(nx, ny, points) @ A.data
+        centre = planes[0]
+        if not (np.all(centre > 0.0) and np.all(centre < np.inf)):
+            raise SolverError("matrix diagonal not positive and finite")
+        levels.append((_stencil_operator(planes, shifts),
+                       SMOOTH_OMEGA * (1.0 / centre), *_prolongation(nx, ny)))
+        planes = (_galerkin_map(nx, ny, points) @ planes.ravel()).reshape(5, -1)
         nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
-        indptr, indices, expand = _stencil_pattern(nx, ny, points)
-        A = sparse.csr_matrix((coarse_upper.take(expand), indices, indptr),
-                              shape=(indptr.size - 1,) * 2)
-    factor = _banded_cholesky(A)
+        shifts = (0, 1, nx, nx + 1, nx + 2)
+    factor = _banded_cholesky(planes, shifts)
 
     # a loop, not recursion: a self-referencing closure would keep every
     # step's hierarchy alive until the cyclic garbage collector ran
@@ -303,6 +330,7 @@ def multigrid(A, grid):
                 z += wdinv * (r - A @ z)
         return z
 
+    vcycle.operator = levels[0][0] if levels else A
     return vcycle
 
 

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .grids import Grid2
 from .linsolve import SparseSystem, five_point, multigrid, solve_cg
@@ -161,18 +162,20 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
 
     The production corner is pinned to zero, which removes the constant
     null space and fixes the gauge every caller shares.  The pin stays in
-    place, on a copy of the matrix: that node's row and column are zeroed,
-    its diagonal set to 1 and its right-hand side to 0, so the system keeps
-    the grid's shape for the multigrid preconditioner.
+    place, on a copy of the matrix's values: that node's row and column
+    are zeroed, its diagonal set to 1 and its right-hand side to 0, so the
+    system keeps the grid's shape for the multigrid preconditioner.
     """
     pin = grid.node_id(grid.nx, grid.ny)
-    A = system.matrix.tocsr(copy=True)
+    A = system.matrix
+    A = sparse.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
     A.data[A.indices == pin] = 0.0
     row = slice(A.indptr[pin], A.indptr[pin + 1])
     A.data[row] = A.indices[row] == pin
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
-    p = solve_cg(A, b, multigrid(A, grid), tol=tol,
+    M = multigrid(A, grid)
+    p = solve_cg(M.operator, b, M, tol=tol,
                  x0=None if x0 is None else np.ravel(x0))
     # the pinned equation is decoupled, so its exact solution is 0 whatever
     # the preconditioner's coarse correction left there

@@ -156,7 +156,8 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     A = five_point(grid, cfx_face, cfy_face, mass=(phi / dt) * area)
 
     rhs = (rhs_density * area).ravel()
-    s_new = solve_cg(A, rhs, multigrid(A, grid), tol=params.lin_tol,
+    M = multigrid(A, grid)
+    s_new = solve_cg(M.operator, rhs, M, tol=params.lin_tol,
                      x0=state.s.ravel()).reshape(grid.shape)
     return np.clip(s_new, model.s_ra, 1.0 - model.s_ro)
 

@@ -3,12 +3,14 @@ study CSV output, and the verification battery."""
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from polyflood import PetroModel, cli, harness
 from polyflood.config import RunConfig, parse_config
 from polyflood.grids import Grid2, read_field
+from polyflood.harness import STUDY_BASE
 from polyflood.linsolve import SolverError
 from polyflood.simulate import run_simulation
 
@@ -48,6 +50,13 @@ def test_missing_config_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # a directory, or an empty path, which names the working directory
+    for path in (str(tmp_path), ""):
+        assert cli.main(["run", "--config", path]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -169,6 +178,27 @@ def test_spatial_study_writes_csv(tmp_path, capsys):
     assert len(csv) == 7                        # 2 levels x 3 variables
     assert {line.split(",")[0] for line in csv[1:]} == {"s", "p", "v"}
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["study-spatial", "study-temporal"])
+def test_studies_default_to_the_bump_well_base(command, tmp_path, monkeypatch,
+                                               capsys):
+    # a point well's corner velocity is singular, so without a config file
+    # the studies run on harness.STUDY_BASE, whose wells are bumps; a
+    # config file starts from RunConfig's defaults, as a run does
+    studies = []
+    for name in ("run_spatial_study", "run_temporal_study"):
+        monkeypatch.setattr(cli, name, lambda study: studies.append(study) or [])
+    cfg = tmp_path / "flood.cfg"
+    cfg.write_text("Q = 1.5\n")
+    for extra in ([], ["--config", str(cfg)]):
+        assert cli.main([command, "--tstop", "0.1", "--out", str(tmp_path),
+                         *extra]) == 0
+    capsys.readouterr()
+    default, from_file = (study.base for study in studies)
+    assert default.well_radius > 0.0
+    assert default == replace(STUDY_BASE, tstop=0.1, out=str(tmp_path))
+    assert from_file == RunConfig(Q=1.5, tstop=0.1, out=str(tmp_path))
 
 
 def test_temporal_study_writes_csv(tmp_path, capsys):

@@ -407,14 +407,23 @@ def test_multigrid_rejects_broken_matrices(g):
 
 
 def multigrid_levels(monkeypatch, solve):
-    """Every level's operator that multigrid builds while solve() runs,
-    finest first: each level but the coarsest passes _inverse_diagonal, the
-    coarsest _banded_cholesky."""
+    """Every level that multigrid builds while solve() runs, finest first,
+    as (planes, operator): each level but the coarsest passes its coupling
+    planes to _stencil_operator, and the coarsest to _banded_cholesky,
+    whose planes are made an operator the same way."""
     seen = []
-    for name in ("_inverse_diagonal", "_banded_cholesky"):
-        real = getattr(polyflood.linsolve, name)
-        monkeypatch.setattr(polyflood.linsolve, name,
-                            lambda A, real=real: seen.append(A) or real(A))
+    build = polyflood.linsolve._stencil_operator
+    factor = polyflood.linsolve._banded_cholesky
+
+    def operator(planes, shifts):
+        seen.append((planes, build(planes, shifts)))
+        return seen[-1][1]
+
+    def cholesky(planes, shifts):
+        seen.append((planes, build(planes, shifts)))
+        return factor(planes, shifts)
+    monkeypatch.setattr(polyflood.linsolve, "_stencil_operator", operator)
+    monkeypatch.setattr(polyflood.linsolve, "_banded_cholesky", cholesky)
     solve()
     return seen
 
@@ -441,17 +450,28 @@ def nine_point_columns(nx, ny):
             for j in range(ny + 1) for i in range(nx + 1)]
 
 
-@pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
-@pytest.mark.parametrize("g", [Grid2(33, 65), Grid2(40, 23), Grid2(97, 97),
-                               Grid2(17, 300)],
-                         ids=["33x65", "40x23", "97x97", "17x300"])
-def test_coarse_operators_are_galerkin_products(g, system, monkeypatch):
-    # each shape's cached maps give R A P to rounding, with the pressure
-    # pin's zeroed row and column and with faces that are exactly 0, and
-    # store it in the coarse grid's full 9-point structure
+# 2x300 coarsens to levels one cell wide, where the east and north-west
+# couplings share a DIA offset
+MULTILEVEL_SHAPES = pytest.mark.parametrize(
+    "g", [Grid2(33, 65), Grid2(40, 23), Grid2(97, 97), Grid2(17, 300),
+          Grid2(2, 300)],
+    ids=["33x65", "40x23", "97x97", "17x300", "2x300"])
+
+
+def multigrid_systems(g, system, monkeypatch):
+    """The matrix that multigrid is given and its levels, for the pinned
+    pressure system or a saturation-type one with faces exactly 0; the
+    V-cycle hands its finest level to solve_cg."""
+    given, built = [], []
+
+    def build(A, grid):
+        given.append(A)
+        built.append(multigrid(A, grid))
     if system == "pinned-pressure":
         s, c = random_state(g, seed=5)
         sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
+        monkeypatch.setattr(polyflood.pressure, "multigrid",
+                            lambda A, grid: build(A, grid) or built[-1])
         levels = multigrid_levels(monkeypatch, lambda: solve_pressure(sys, g))
     else:
         rng = np.random.default_rng(7)
@@ -460,17 +480,55 @@ def test_coarse_operators_are_galerkin_products(g, system, monkeypatch):
         fx[rng.random(fx.shape) < 0.2] = 0.0
         fy[rng.random(fy.shape) < 0.2] = 0.0
         A = five_point(g, fx, fy, mass=rng.uniform(0.5, 2.0, g.shape))
-        levels = multigrid_levels(monkeypatch, lambda: multigrid(A, g))
+        levels = multigrid_levels(monkeypatch, lambda: build(A, g))
+    assert len(given) == 1 and len(levels) >= 2
+    assert built[0].operator is levels[0][1]
+    return given[0], levels
+
+
+@pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
+@MULTILEVEL_SHAPES
+def test_coarse_operators_are_galerkin_products(g, system, monkeypatch):
+    # each shape's cached maps give R A P to rounding, with the pressure
+    # pin's zeroed row and column and with faces that are exactly 0, and
+    # hold it on the coarse grid's full 9-point stencil: its nine offsets
+    # give every neighbour inside the grid a slot, and no node is coupled
+    # to one that is not its neighbour
+    _, levels = multigrid_systems(g, system, monkeypatch)
     nx, ny = g.nx, g.ny
-    assert len(levels) >= 2
-    for fine, coarse in zip(levels, levels[1:]):
+    for (_, fine), (_, coarse) in zip(levels, levels[1:]):
         P = bilinear_prolongation(nx, ny)
         galerkin = P.T @ fine @ P
         nx, ny = (nx + 1) // 2, (ny + 1) // 2
         assert coarse.shape == galerkin.shape == ((nx + 1) * (ny + 1),) * 2
         assert abs(coarse - galerkin).max() <= 1e-14 * abs(galerkin).max()
-        rows = np.split(coarse.indices, coarse.indptr[1:-1])
-        assert [list(row) for row in rows] == nine_point_columns(nx, ny)
+        w = nx + 1
+        assert list(coarse.offsets) == sorted({-w - 1, -w, 1 - w, -1, 0, 1,
+                                               w - 1, w, w + 1})
+        nonzero = coarse.tocsr()
+        rows = np.split(nonzero.indices, nonzero.indptr[1:-1])
+        for row, stencil in zip(rows, nine_point_columns(nx, ny)):
+            assert set(row) <= set(stencil)
+
+
+@pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
+@MULTILEVEL_SHAPES
+def test_stencil_products_match_csr_bit_for_bit(g, system, monkeypatch):
+    # a DIA product adds each row's terms in the order a CSR row holds
+    # them, so the bits agree: the finest operator's with the matrix
+    # multigrid was given, and each coarse one's with the CSR matrix of
+    # its planes in the 9-point structure
+    A, levels = multigrid_systems(g, system, monkeypatch)
+    rng = np.random.default_rng(11)
+    nx, ny = g.nx, g.ny
+    for k, (planes, operator) in enumerate(levels):
+        if k:
+            nx, ny = (nx + 1) // 2, (ny + 1) // 2
+            indptr, indices, gather, _ = polyflood.linsolve._stencil_pattern(nx, ny, 9)
+            A = sparse.csr_matrix((planes.ravel().take(gather), indices, indptr),
+                                  shape=operator.shape)
+        for x in rng.normal(size=(3, operator.shape[0])):
+            assert np.array_equal(operator @ x, A @ x), k
 
 
 def test_multigrid_wants_the_five_point_structure():
