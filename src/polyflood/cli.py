@@ -9,8 +9,8 @@ Subcommands:
     verify-1d       reduced-system convergence and stencil-order checks
 
 `--config` points at a flat key = value file; the remaining flags override
-individual keys.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure or a grid too large to allocate, 4 verification failure.
+individual keys.  Exit codes: 0 success, 2 configuration or output error,
+3 solver failure or a grid too large to allocate, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ def _cmd_study(args, mode: str) -> int:
     levels = tuple(_numeric(v) for v in args.levels.split(","))
     reference = _numeric(args.reference)
     study = RefinementStudy(mode, levels, reference, cfg)
+    out_dir = Path(args.out if args.out else ".")
+    out_dir.mkdir(parents=True, exist_ok=True)  # fails before the study runs
     run = run_spatial_study if mode == "spatial" else run_temporal_study
     records = run(study)
     print(format_records(records))
-    out_dir = Path(args.out if args.out else ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{mode}_study.csv"
     write_records_csv(csv_path, records)
     print(f"wrote {csv_path}")
@@ -230,6 +230,9 @@ def main(argv=None) -> int:
         return _cmd_verify(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # reading the config file raises ConfigError
+        print(f"cannot write output: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)

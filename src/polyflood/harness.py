@@ -11,9 +11,10 @@ Studies emit one CSV with columns
 
     variable,h,dt,e2,order2,emax,orderinf,time
 
-where the order columns compare consecutive levels (blank on the first)
-and time is the wall-clock seconds of that level's run.  Everything here
-is deterministic: no randomness enters the pipeline anywhere.
+where the order columns compare consecutive levels (blank on the first,
+and where either error is exactly 0) and time is the wall-clock seconds
+of that level's run.  Everything here is deterministic: no randomness
+enters the pipeline anywhere.
 """
 
 from __future__ import annotations
@@ -163,12 +164,15 @@ def _run_study(study: RefinementStudy, errors) -> list[ErrorRecord]:
             per_var.setdefault(var, []).append(ErrorRecord(
                 var, result.state.grid.hx, cfg.dt, e2, emax, time=wall))
 
+    def order(coarse, fine):  # undefined when an error is exactly 0
+        return None if 0.0 in (coarse, fine) else observed_order(coarse, fine)
+
     records = []
     for rows in per_var.values():
         for k, row in enumerate(rows):
             if k > 0:
-                row.order2 = observed_order(rows[k - 1].e2, row.e2)
-                row.orderinf = observed_order(rows[k - 1].emax, row.emax)
+                row.order2 = order(rows[k - 1].e2, row.e2)
+                row.orderinf = order(rows[k - 1].emax, row.emax)
             records.append(row)
     return records
 

@@ -22,13 +22,13 @@ sums a row in a CSR row's order, so the bits are the same), the band of
 the coarsest level, and the input of the next level's Galerkin map.
 
 What depends on the grid shape only is built once per shape and cached
-read-only: the 5- and 9-point CSR structures and their maps to and from
-planes, the prolongation and restriction, and per coarsening level the
-linear map from its planes to the next level's: about 410 bytes per fine
-node, 245 of them the maps (3.7 MB at N = 96).  Per call, five_point
-fills the 5-point values; multigrid takes the finest planes from them,
-applies the maps (one sparse product per level) and slices each level's
-DIA matrix, smoother weights and band.
+read-only: the prolongation and restriction, and per coarsening level the
+linear map from its planes to the next level's: about 320 bytes per fine
+node, 245 of them the maps (3.0 MB at N = 96).  Per call, five_point
+fills the 5-point DIA matrix, the finest level; multigrid reads its
+planes from that matrix's data, applies the maps (one sparse product per
+level) and slices each coarser level's DIA matrix, smoother weights and
+band.
 """
 
 from __future__ import annotations
@@ -74,51 +74,15 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SparseSystem:
-    """A symmetric positive (semi)definite system A x = b in CSR form.
+    """A symmetric positive (semi)definite system A x = b in DIA form.
 
     pure_neumann marks the singular case whose null space is the constant
     vector; such a system must be gauged (one node pinned) before solving.
     """
 
-    matrix: sparse.csr_matrix
+    matrix: sparse.dia_matrix
     rhs: np.ndarray
     pure_neumann: bool = False
-
-
-@functools.lru_cache(maxsize=16)
-def _stencil_pattern(nx: int, ny: int, points: int):
-    """CSR structure of a symmetric 5- or 9-point operator on an nx-by-ny
-    grid's nodes, indptr and indices, and its maps to and from the planes,
-    a flattened (points // 2 + 1, ny+1, nx+1) stack of the upper couplings
-    (the centre, then east and north for 5 points; east, north-west, north
-    and north-east for 9): gather gives each entry's slot (one below the
-    diagonal reads its mirror), source each slot's entry on or above it (0
-    past the grid's edge).  Every neighbour inside the grid is stored, so
-    the structure depends on the shape only; all four arrays are shared
-    between calls and read-only.
-    """
-    offsets = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1)
-               if points == 9 or abs(di) + abs(dj) <= 1]
-    i = np.arange(nx + 1)
-    j = np.arange(ny + 1)[:, None]
-    present = np.stack([(0 <= i + di) & (i + di <= nx) & (0 <= j + dj)
-                        & (j + dj <= ny) for di, dj in offsets])
-    node, which = np.nonzero(present.reshape(points, -1).T)
-    shift = np.array([dj * (nx + 1) + di for di, dj in offsets])
-    indices = (node + shift[which]).astype(np.int32)
-    nodes = i.size * j.size
-    indptr = np.zeros(nodes + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=0).ravel(), out=indptr[1:])
-    # offsets are symmetric about the centre, at points // 2
-    plane = np.abs(which - points // 2)
-    # int32 halves what each shape keeps, and take() reads it as it is
-    gather = (plane * nodes + np.minimum(node, indices)).astype(np.int32)
-    upper = np.flatnonzero(which >= points // 2)
-    source = np.zeros((points // 2 + 1) * nodes, dtype=np.int32)
-    source[gather[upper]] = upper
-    for array in (indptr, indices, gather, source):
-        array.flags.writeable = False
-    return indptr, indices, gather, source
 
 
 def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
@@ -138,33 +102,34 @@ def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
     return sparse.dia_matrix((data, offsets), shape=(n, n))
 
 
-def five_point(grid, fx, fy, mass=0.0) -> sparse.csr_matrix:
+def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
     """Symmetric 5-point operator on a Grid2's nodes from face coefficients.
 
     fx[j, i] couples node (i, j) to (i+1, j), shape (ny+1, nx); fy[j, i]
     couples (i, j) to (i, j+1), shape (ny, nx+1).  Each face enters its two
     rows as -f off the diagonal and +f on it, so the diagonal is mass plus
     the node's face coefficients and mass = 0 gives zero row sums.  The
-    values fill the shape's cached CSR structure, which stores a face that
-    is exactly 0 as an explicit zero.
+    operator is the DIA matrix of its planes, offsets -(nx+1), -1, 0, 1
+    and nx + 1: every face, an exact 0 too, has its slot on two of them,
+    and the +-1 slots across a row end hold 0.
     """
     nx, ny = grid.nx, grid.ny
     if fx.shape != (ny + 1, nx) or fy.shape != (ny, nx + 1):
         raise ValueError(f"face coefficients of shape {fx.shape}, {fy.shape} "
                          f"do not fit a {nx}x{ny} grid")
-    indptr, indices, gather, _ = _stencil_pattern(nx, ny, 5)
-    # faces past the walls stay 0; the centre adds east, west, north and
-    # south in that order, which fixes its rounding
-    stack = np.zeros((3, ny + 1, nx + 1))
-    centre, east, north = stack
-    east[:, :-1] = fx
-    north[:-1] = fy
-    centre[...] = mass + east
-    centre[:, 1:] += fx
-    centre += north
-    centre[1:] += fy
-    np.negative(stack[1:], out=stack[1:])
-    return sparse.csr_matrix((stack.take(gather), indices, indptr),
+    w = nx + 1
+    # data[d, k] is A[k - offsets[d], k]: node k's coupling to its north or
+    # east neighbour, itself, or its west or south one; past a wall it is 0
+    data = np.zeros((5, ny + 1, w))
+    north, east, centre, west, south = data
+    np.negative(fy, out=north[:-1])
+    np.negative(fx, out=east[:, :-1])
+    np.negative(fx, out=west[:, 1:])
+    np.negative(fy, out=south[1:])
+    # mass plus the east, west, north and south faces, in that order, which
+    # fixes the rounding
+    centre[...] = mass - east - west - north - south
+    return sparse.dia_matrix((data.reshape(5, -1), [-w, -1, 0, 1, w]),
                              shape=(grid.nnodes, grid.nnodes))
 
 
@@ -195,20 +160,27 @@ def _prolongation(nx: int, ny: int):
 @functools.lru_cache(maxsize=8)
 def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
     """R A P on an nx-by-ny grid as one read-only linear map G: for A
-    symmetric with a points-stencil, G @ planes maps A's planes (see
-    _stencil_pattern) to those of R A P.  A's entry (k, l), k <= l,
+    symmetric with a points-stencil, G @ planes maps A's planes, a
+    flattened (points // 2 + 1, ny+1, nx+1) stack of its upper couplings
+    (the centre, then east and north for 5 points; east, north-west, north
+    and north-east for 9), to those of R A P.  A's coupling (k, l), k <= l,
     stands for A_lk too: it adds P_kI P_lJ + P_kJ P_lI to the coupling of
     each pair of coarse nodes I <= J, one a parent of k and the other of
     l, and half that for k = l.
     """
-    indptr, indices, gather, _ = _stencil_pattern(nx, ny, points)
+    steps = ([(0, 0), (1, 0), (0, 1)] if points == 5
+             else [(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
+    j, i = np.indices((ny + 1, nx + 1))
+    present = np.stack([(0 <= i + di) & (i + di <= nx) & (j + dj <= ny)
+                        for di, dj in steps]).reshape(len(steps), -1)
+    # every coupling inside the grid, node by node in column order: each
+    # row of G sums in that order, which fixes its rounding
+    k, plane = np.nonzero(present.T)
+    l = k + np.array([dj * (nx + 1) + di for di, dj in steps])[plane]
+    fine_slot = plane * present.shape[1] + k
     P = _prolongation(nx, ny)[0]
     width = (nx + 1) // 2 + 1
     coarse = width * ((ny + 1) // 2 + 1)
-    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32),
-                     np.diff(indptr))
-    entry = np.flatnonzero(indices >= rows).astype(np.int32)
-    k, l = rows[entry], indices[entry]
     # a fine node's parents fill a box, one or two coarse nodes a side, of
     # equal weights: relative to k's first parent, the pairs and weights of
     # (k, l) depend only on both boxes' sides, l's start and whether k = l
@@ -218,7 +190,7 @@ def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
     shape = (2, 2, 2, 2, 3, 3, 2)
     kind = np.ravel_multi_index((wide[k], tall[k], wide[l], tall[l],
                                  x[l] - x[k] + 1, y[l] - y[k] + 1, k == l), shape)
-    gptr = np.zeros(indices.size + 1, dtype=np.int32)
+    gptr = np.zeros(k.size + 1, dtype=np.int32)
     templates = []
     for code in np.unique(kind):
         wk, tk, wl, tl, dx, dy, diag = np.unravel_index(code, shape)
@@ -230,7 +202,7 @@ def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
             slot = (3 * (hy - ly) + hx - lx) * coarse + ly * width + lx
             pairs[slot] = pairs.get(slot, 0) + 1 + (I == J)
         sel = np.flatnonzero(kind == code)
-        gptr[entry[sel] + 1] = len(pairs)
+        gptr[sel + 1] = len(pairs)
         scale = (1 + wk) * (1 + tk) * (1 + wl) * (1 + tl) * (1 + diag)
         templates.append((sel, np.fromiter(pairs, np.int32),
                           np.fromiter(pairs.values(), float) / scale))
@@ -238,16 +210,16 @@ def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
     cols = np.empty(gptr[-1], dtype=np.int32)
     weights = np.empty(gptr[-1])
     for sel, offsets, values in templates:
-        dest = gptr[entry[sel], None] + np.arange(offsets.size, dtype=np.int32)
+        dest = gptr[sel, None] + np.arange(offsets.size, dtype=np.int32)
         cols[dest] = first[k[sel], None] + offsets
         weights[dest] = values
-    # filled by fine entry; as CSR it is 8% smaller than that transpose
-    # and about 30% faster to apply.  Its columns then move from entries
+    # filled by fine coupling; as CSR it is 8% smaller than that transpose
+    # and about 30% faster to apply.  Its columns then move from couplings
     # to plane slots, and each row keeps the order its sum is taken in.
     G = sparse.csr_matrix((weights, cols, gptr),
-                          shape=(indices.size, 5 * coarse)).T.tocsr()
-    G = sparse.csr_matrix((G.data, gather.take(G.indices), G.indptr),
-                          shape=(5 * coarse, (points // 2 + 1) * (indptr.size - 1)))
+                          shape=(k.size, 5 * coarse)).T.tocsr()
+    G = sparse.csr_matrix((G.data, fine_slot.take(G.indices), G.indptr),
+                          shape=(5 * coarse, present.size))
     for array in (G.indptr, G.indices, G.data):
         array.flags.writeable = False
     return G
@@ -274,36 +246,37 @@ def multigrid(A, grid):
 
     Coarse operators are Galerkin products P^T A P with bilinear P, so the
     hierarchy follows A's coefficients, jumps and pinned rows included.
-    Of A only the diagonal and upper triangle are read.  Returns a
-    function r -> z that applies one V-cycle from a zero guess; it is
-    symmetric positive definite, as solve_cg's M must be.  Its attribute
-    operator is A for solve_cg: the V-cycle's DIA matrix, whose products
-    have the bits of A's, or A itself if the cycle is one exact solve.
-    Raises SolverError if A has a non-finite entry or not the grid's
-    5-point structure (five_point's), if any level's diagonal is not
-    positive and finite, or if the coarsest level is not positive definite.
+    A is taken as a DIA matrix and is the finest level's operator.
+    Returns a function r -> z that applies one V-cycle from a zero guess;
+    it is symmetric positive definite, as solve_cg's M must be.  Its
+    attribute operator is that DIA matrix, for solve_cg.  Raises
+    SolverError if A has a non-finite entry or not the grid's 5-point
+    structure (five_point's offsets, no coupling across a row end,
+    symmetric), if any level's diagonal is not positive and finite, or if
+    the coarsest level is not positive definite.
     """
-    A = sparse.csr_matrix(A)
-    if not np.all(np.isfinite(A.data)):
+    A = A.todia()
+    data = A.data
+    if not np.all(np.isfinite(data)):
         raise SolverError("matrix entries not finite")
     nx, ny, points = grid.nx, grid.ny, 5
-    indptr, indices, _, source = _stencil_pattern(nx, ny, points)
-    # five_point's structure, shared (indices as a whole view), is not compared
-    if not (A.indptr is indptr and A.indices.base is indices
-            and A.indices.strides == indices.strides
-            or np.array_equal(A.indptr, indptr)
-            and np.array_equal(A.indices, indices)):
+    n, w = grid.nnodes, nx + 1
+    # DIA row -s holds A[k + s, k] at column k and row s its mirror, so
+    # rows 0, -1 and -w are the planes: each node's coupling to itself,
+    # its east and its north neighbour, where a row end has no east one
+    if not (A.shape == (n, n) and data.shape[1] == n
+            and list(A.offsets) == [-w, -1, 0, 1, w]
+            and not data[1, nx::w].any()
+            and np.array_equal(data[1, :-1], data[3, 1:])
+            and np.array_equal(data[0, :-w], data[4, w:])):
         raise SolverError("matrix does not have the grid's 5-point structure")
-    planes = A.data.take(source).reshape(3, ny + 1, nx + 1)
-    # past the east and the north edge there is no neighbour
-    planes[1, :, -1] = planes[2, -1] = 0.0
-    planes, shifts = planes.reshape(3, -1), (0, 1, nx + 1)
+    planes, shifts = data[2::-1], (0, 1, w)
     levels = []
     while (nx + 1) * (ny + 1) > COARSEST_NODES:
         centre = planes[0]
         if not (np.all(centre > 0.0) and np.all(centre < np.inf)):
             raise SolverError("matrix diagonal not positive and finite")
-        levels.append((_stencil_operator(planes, shifts),
+        levels.append((_stencil_operator(planes, shifts) if levels else A,
                        SMOOTH_OMEGA * (1.0 / centre), *_prolongation(nx, ny)))
         planes = (_galerkin_map(nx, ny, points) @ planes.ravel()).reshape(5, -1)
         nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
@@ -330,7 +303,7 @@ def multigrid(A, grid):
                 z += wdinv * (r - A @ z)
         return z
 
-    vcycle.operator = levels[0][0] if levels else A
+    vcycle.operator = A
     return vcycle
 
 

@@ -162,16 +162,20 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
 
     The production corner is pinned to zero, which removes the constant
     null space and fixes the gauge every caller shares.  The pin stays in
-    place, on a copy of the matrix's values: that node's row and column
-    are zeroed, its diagonal set to 1 and its right-hand side to 0, so the
-    system keeps the grid's shape for the multigrid preconditioner.
+    place, on a copy of the matrix's DIA values: that node's row and
+    column are zeroed, its diagonal set to 1 and its right-hand side to 0,
+    so the system keeps the grid's shape for the multigrid preconditioner.
     """
     pin = grid.node_id(grid.nx, grid.ny)
-    A = system.matrix
-    A = sparse.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
-    A.data[A.indices == pin] = 0.0
-    row = slice(A.indptr[pin], A.indptr[pin + 1])
-    A.data[row] = A.indices[row] == pin
+    A = system.matrix.todia()
+    # DIA data[d, k] holds A[k - offsets[d], k]: column pin is data[:, pin]
+    # and row pin lies at columns pin + offsets, those inside the matrix
+    data = A.data.copy()
+    data[:, pin] = 0.0
+    row = pin + A.offsets
+    inside = (row >= 0) & (row < data.shape[1])
+    data[inside, row[inside]] = A.offsets[inside] == 0
+    A = sparse.dia_matrix((data, A.offsets), shape=A.shape)
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
     M = multigrid(A, grid)

@@ -180,6 +180,39 @@ def test_spatial_study_writes_csv(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_a_study_of_a_zero_pressure_leaves_its_orders_blank(tmp_path, capsys):
+    # with no wells p and v are exactly 0 on every level, so their errors
+    # are 0; the study once ended in observed_order's ValueError, exit 1
+    cfg = tmp_path / "noflow.cfg"
+    cfg.write_text("N = 8\nQ = 0\n")
+    assert cli.main(["study-spatial", "--config", str(cfg), "--levels", "4,8",
+                     "--reference", "16", "--tstop", "0.1",
+                     "--out", str(tmp_path)]) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()[2:8]]
+    csv = [row.split(",") for row in
+           (tmp_path / "spatial_study.csv").read_text().splitlines()[1:]]
+    # the second level's rows of s, p and v
+    for fields, columns in zip(csv[1::2], table[1::2]):
+        zero = fields[0] in "pv"
+        assert (float(fields[3]) == float(fields[5]) == 0.0) == zero
+        assert (fields[4] == fields[6] == "") == zero
+        assert (columns[4] == columns[6] == "-") == zero
+
+
+@pytest.mark.parametrize("command", ["run", "study-spatial"])
+def test_output_that_cannot_be_written_exits_2(command, tmp_path, capsys):
+    # --out naming a file once ended in FileExistsError, exit 1
+    taken = tmp_path / "taken.cfg"
+    taken.write_text("N = 8\n")
+    extra = ["--nx", "8"] if command == "run" else ["--levels", "4,8",
+                                                    "--reference", "16"]
+    assert cli.main([command, *extra, "--tstop", "0.1",
+                     "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert taken.read_text() == "N = 8\n"
+
+
 @pytest.mark.parametrize("command", ["study-spatial", "study-temporal"])
 def test_studies_default_to_the_bump_well_base(command, tmp_path, monkeypatch,
                                                capsys):

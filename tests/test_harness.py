@@ -2,6 +2,7 @@
 breakthrough detection, study validation, and the CSV contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from polyflood.config import ConfigError, RunConfig
 from polyflood.grids import Grid1, Grid2
 from polyflood.harness import (
-    ErrorRecord, RefinementStudy,
+    STUDY_BASE, ErrorRecord, RefinementStudy, run_spatial_study,
     restrict_to_coarse, error_norms, error_norms_1d, observed_order,
     write_records_csv, format_records,
 )
@@ -83,6 +84,17 @@ def test_observed_order_rejects_nonpositive():
     for pair in [(0.0, 1e-3), (1e-3, 0.0), (-1e-3, 1e-3)]:
         with pytest.raises(ValueError):
             observed_order(*pair)
+
+
+def test_a_study_with_zero_errors_leaves_its_orders_undefined():
+    # at t = 0 every level restricts the reference's initial state exactly,
+    # so every error is 0; the study once raised observed_order's ValueError
+    study = RefinementStudy("spatial", (4, 8), 16, replace(STUDY_BASE, tstop=0.0))
+    records = run_spatial_study(study)
+    assert [r.variable for r in records] == ["s", "s", "p", "p", "v", "v"]
+    for r in records:
+        assert r.e2 == r.emax == 0.0
+        assert r.order2 is None and r.orderinf is None
 
 
 def test_study_validation():

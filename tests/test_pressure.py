@@ -108,7 +108,7 @@ def test_matrix_symmetric_with_zero_row_sums():
     g = Grid2(5, 3)
     s, c = random_state(g, seed=1)
     A = assemble_pressure(g, s, c, MODEL).matrix
-    assert abs(A - A.T).max() == 0.0
+    assert not (A - A.T).toarray().any()
     # constant vector spans the null space of the pure-Neumann operator
     assert np.abs(A @ np.ones(g.nnodes)).max() < 1e-13
 
@@ -169,8 +169,8 @@ def test_five_point_rows_do_not_wrap():
     with pytest.raises(ValueError):
         five_point(g, fy, fx)
 
-    # the dense oracle, exactly, with some faces exactly 0; those stay
-    # stored, so every call on a shape fills one shared structure
+    # the dense oracle, exactly, with some faces exactly 0; those keep
+    # their slots, so every call on a shape has the same five diagonals
     for g in (Grid2(2, 2), Grid2(4, 3), Grid2(3, 5)):
         fx = rng.uniform(1.0, 2.0, (g.ny + 1, g.nx))
         fy = rng.uniform(1.0, 2.0, (g.ny, g.nx + 1))
@@ -178,18 +178,17 @@ def test_five_point_rows_do_not_wrap():
         mass = rng.uniform(0.0, 1.0, g.shape)
         A = five_point(g, fx, fy, mass)
         assert np.array_equal(A.toarray(), dense_five_point_oracle(g, fx, fy, mass))
-        assert A.has_canonical_format
-        assert A.nnz == 5 * g.nnodes - 2 * (g.nx + 1) - 2 * (g.ny + 1)
+        w = g.nx + 1
         B = five_point(g, 2.0 * fx, 2.0 * fy)
-        assert np.shares_memory(A.indices, B.indices)
-        assert np.shares_memory(A.indptr, B.indptr)
+        for M in (A, B):
+            assert list(M.offsets) == [-w, -1, 0, 1, w]
+            assert M.data.shape == (5, g.nnodes)
         assert not np.shares_memory(A.data, B.data)
-        indices = A.indices.copy()
-        with pytest.raises(ValueError):
-            A.indices[0] = 1
-        with pytest.raises(ValueError):
-            B.eliminate_zeros()
-        assert np.array_equal(five_point(g, fx, fy).indices, indices)
+        # DIA row -s holds A[k + s, k] at column k, row s A[k - s, k]
+        east, north = g.node_id(g.nx - 1, g.ny), g.node_id(0, g.ny - 1)
+        assert A.data[1, 0] == A.data[3, 1] == fx[0, 0] == 0.0
+        assert A.data[1, east] == A.data[3, east + 1] == fx[-1, -1] == 0.0
+        assert A.data[0, north] == A.data[4, north + w] == fy[-1, 0] == 0.0
 
 
 def test_well_sources_balanced():
@@ -400,18 +399,30 @@ def test_multigrid_rejects_broken_matrices(g):
 
     s, c = random_state(g)
     sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
-    sys.matrix.data[sys.matrix.indices == middle] = np.nan
+    sys.matrix.data[:, middle] = np.nan  # column middle of the DIA matrix
     with pytest.raises(SolverError) as err:
         solve_pressure(sys, g)
     assert err.value.iterations <= 1
 
 
 def multigrid_levels(monkeypatch, solve):
-    """Every level that multigrid builds while solve() runs, finest first,
-    as (planes, operator): each level but the coarsest passes its coupling
-    planes to _stencil_operator, and the coarsest to _banded_cholesky,
-    whose planes are made an operator the same way."""
-    seen = []
+    """Every level of the one hierarchy that multigrid builds while solve()
+    runs, finest first, as (planes, operator), and the matrix multigrid was
+    given.  The finest level's operator is that matrix and its planes are
+    the matrix's diagonals; each coarser level but the coarsest passes its
+    coupling planes to _stencil_operator, and the coarsest to
+    _banded_cholesky, whose planes are made an operator the same way."""
+    given, seen = [], []
+    hierarchy = polyflood.linsolve.multigrid
+
+    def multigrid(A, grid):
+        given.append(A)
+        w = grid.nx + 1
+        planes = np.zeros((3, grid.nnodes))
+        planes[0], planes[1, :-1], planes[2, :-w] = (A.diagonal(k)
+                                                     for k in (0, 1, w))
+        seen.append((planes, A))
+        return hierarchy(A, grid)
     build = polyflood.linsolve._stencil_operator
     factor = polyflood.linsolve._banded_cholesky
 
@@ -424,8 +435,11 @@ def multigrid_levels(monkeypatch, solve):
         return factor(planes, shifts)
     monkeypatch.setattr(polyflood.linsolve, "_stencil_operator", operator)
     monkeypatch.setattr(polyflood.linsolve, "_banded_cholesky", cholesky)
+    for module in (polyflood.pressure, polyflood.linsolve):
+        monkeypatch.setattr(module, "multigrid", multigrid)
     solve()
-    return seen
+    assert len(given) == 1
+    return given[0], seen
 
 
 def bilinear_prolongation(nx, ny):
@@ -460,19 +474,11 @@ MULTILEVEL_SHAPES = pytest.mark.parametrize(
 
 def multigrid_systems(g, system, monkeypatch):
     """The matrix that multigrid is given and its levels, for the pinned
-    pressure system or a saturation-type one with faces exactly 0; the
-    V-cycle hands its finest level to solve_cg."""
-    given, built = [], []
-
-    def build(A, grid):
-        given.append(A)
-        built.append(multigrid(A, grid))
+    pressure system or a saturation-type one with faces exactly 0."""
     if system == "pinned-pressure":
         s, c = random_state(g, seed=5)
         sys = assemble_pressure(g, s, c, MODEL, wells=WellConfig(rate=1.0))
-        monkeypatch.setattr(polyflood.pressure, "multigrid",
-                            lambda A, grid: build(A, grid) or built[-1])
-        levels = multigrid_levels(monkeypatch, lambda: solve_pressure(sys, g))
+        A, levels = multigrid_levels(monkeypatch, lambda: solve_pressure(sys, g))
     else:
         rng = np.random.default_rng(7)
         fx = rng.uniform(0.1, 10.0, (g.ny + 1, g.nx))
@@ -480,10 +486,10 @@ def multigrid_systems(g, system, monkeypatch):
         fx[rng.random(fx.shape) < 0.2] = 0.0
         fy[rng.random(fy.shape) < 0.2] = 0.0
         A = five_point(g, fx, fy, mass=rng.uniform(0.5, 2.0, g.shape))
-        levels = multigrid_levels(monkeypatch, lambda: build(A, g))
-    assert len(given) == 1 and len(levels) >= 2
-    assert built[0].operator is levels[0][1]
-    return given[0], levels
+        _, levels = multigrid_levels(
+            monkeypatch, lambda: polyflood.linsolve.multigrid(A, g))
+    assert len(levels) >= 2
+    return A, levels
 
 
 @pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
@@ -511,22 +517,47 @@ def test_coarse_operators_are_galerkin_products(g, system, monkeypatch):
             assert set(row) <= set(stencil)
 
 
+def stencil_csr(planes, nx, ny):
+    """CSR matrix of the symmetric stencil on an nx-by-ny grid's nodes whose
+    upper couplings are planes: the centre, then east and north (5
+    points) or east, north-west, north and north-east (9 points).  Every
+    neighbour inside the grid is stored, an exact 0 too, in column order."""
+    steps = ([(0, 0), (1, 0), (0, 1)] if len(planes) == 3
+             else [(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
+    i, j = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
+    rows, cols, values = [], [], []
+    for (di, dj), plane in zip(steps, planes):
+        k = np.flatnonzero((0 <= i + di) & (i + di <= nx) & (j + dj <= ny))
+        l = k + dj * (nx + 1) + di
+        rows.append(k)
+        cols.append(l)
+        values.append(plane[k])
+        if di or dj:
+            rows.append(l)
+            cols.append(k)
+            values.append(plane[k])
+    n = (nx + 1) * (ny + 1)
+    A = sparse.coo_matrix((np.concatenate(values),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n)).tocsr()
+    assert A.has_canonical_format
+    return A
+
+
 @pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
 @MULTILEVEL_SHAPES
 def test_stencil_products_match_csr_bit_for_bit(g, system, monkeypatch):
     # a DIA product adds each row's terms in the order a CSR row holds
-    # them, so the bits agree: the finest operator's with the matrix
-    # multigrid was given, and each coarse one's with the CSR matrix of
-    # its planes in the 9-point structure
-    A, levels = multigrid_systems(g, system, monkeypatch)
+    # them, so the bits agree with the CSR matrix of each level's planes:
+    # the 5-point structure for the matrix multigrid was given, the
+    # 9-point structure for each coarse level
+    _, levels = multigrid_systems(g, system, monkeypatch)
     rng = np.random.default_rng(11)
     nx, ny = g.nx, g.ny
     for k, (planes, operator) in enumerate(levels):
         if k:
             nx, ny = (nx + 1) // 2, (ny + 1) // 2
-            indptr, indices, gather, _ = polyflood.linsolve._stencil_pattern(nx, ny, 9)
-            A = sparse.csr_matrix((planes.ravel().take(gather), indices, indptr),
-                                  shape=operator.shape)
+        A = stencil_csr(planes.reshape(-1, operator.shape[0]), nx, ny)
         for x in rng.normal(size=(3, operator.shape[0])):
             assert np.array_equal(operator @ x, A @ x), k
 
@@ -536,16 +567,31 @@ def test_multigrid_wants_the_five_point_structure():
     # matrix in any other structure is refused rather than misread
     g = Grid2(40, 23)
     A = spd_five_point(g, seed=2)
-    multigrid(A.tocoo(), g)  # the same structure in another format
-    dropped = A.copy()
-    dropped.data[5] = 0.0
-    dropped.eliminate_zeros()
+    for other in (A.tocoo(), A.tocsr()):  # the same structure, another format
+        multigrid(other, g)
+    dropped = [A.tocsr(), A.tocsr()]  # node 1's east or north, not its mirror
+    for entry, matrix in zip((5, 6), dropped):
+        matrix.data[entry] = 0.0
+        matrix.eliminate_zeros()
     transposed_grid = spd_five_point(Grid2(23, 40), seed=2)  # as many nodes
-    for bad, grid in ((dropped, g), (transposed_grid, g), (A @ A, g),
+    shorter_grid = spd_five_point(Grid2(40, 22), seed=2)  # the same offsets
+    wrapped = A.tolil()  # (nx, j) coupled to (0, j + 1)
+    end = g.node_id(g.nx, 5)
+    wrapped[end, end + 1] = wrapped[end + 1, end] = -1.0
+    for bad, grid in ((dropped[0], g), (dropped[1], g), (transposed_grid, g),
+                      (shorter_grid, g), (wrapped, g), (A @ A, g),
                       (sparse.identity(g.nnodes, format="csr"), g),
                       (sparse.identity(81, format="csr"), Grid2(8, 8))):
         with pytest.raises(SolverError, match="5-point structure"):
             multigrid(bad, grid)
+
+
+@pytest.mark.parametrize("g", [Grid2(8, 8), Grid2(40, 23)],
+                         ids=["one-level", "two-level"])
+def test_multigrid_operator_is_the_matrix_given(g):
+    # solve_cg multiplies by A itself, whether or not the grid coarsens
+    A = spd_five_point(g, seed=4)
+    assert multigrid(A, g).operator is A
 
 
 def test_galerkin_maps_are_built_once_per_shape_and_read_only():
