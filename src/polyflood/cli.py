@@ -1,5 +1,6 @@
-"""Command-line driver: single runs, refinement studies, and the 1-D
-verification battery.
+"""Command-line driver: parses arguments, runs the work and prints the
+result.  Settings and numbers are parsed by config, the studies and the
+1-D verification battery (harness.verify_1d) run in harness.
 
 Subcommands:
 
@@ -19,16 +20,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .config import ConfigError, RunConfig, parse_config, parse_value
-from .grids import Grid1, interp_linear
-from .harness import (STUDY_BASE, RefinementStudy, error_norms_1d,
-                      format_records, observed_order, run_spatial_study,
-                      run_temporal_study, write_records_csv)
+from .config import ConfigError, RunConfig, parse_config, parse_number
+from .harness import (STUDY_BASE, RefinementStudy, format_records,
+                      run_spatial_study, run_temporal_study, verify_1d,
+                      write_records_csv)
 from .linsolve import SolverError
-from .reduced1d import (characteristic_derivative_check, diffusion_stencil_check,
-                        manufactured_problem, run1d)
 from .simulate import run_simulation
 
 __all__ = ["main"]
@@ -47,13 +43,7 @@ def _load_config(args, base: RunConfig = RunConfig()) -> RunConfig:
         "threshold": args.threshold,
         "out": args.out,
     }
-    try:
-        return parse_config(args.config, overrides, base)
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {err.filename}") from err
-    except OSError as err:  # a directory, say, or no permission to read
-        raise ConfigError(f"cannot read config file '{args.config}': "
-                          f"{err.strerror}") from err
+    return parse_config(args.config, overrides, base)
 
 
 def _cmd_run(args) -> int:
@@ -70,20 +60,12 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _numeric(text: str) -> float:
-    """Parse a number or fraction; anything else is a config error."""
-    value = parse_value(text)
-    if isinstance(value, str):
-        raise ConfigError(f"expected a number, got '{text}'")
-    return value
-
-
 def _cmd_study(args, mode: str) -> int:
     cfg = _load_config(args, STUDY_BASE if args.config is None else RunConfig())
-    levels = tuple(_numeric(v) for v in args.levels.split(","))
-    reference = _numeric(args.reference)
+    levels = tuple(parse_number(v) for v in args.levels.split(","))
+    reference = parse_number(args.reference)
     study = RefinementStudy(mode, levels, reference, cfg)
-    out_dir = Path(args.out if args.out else ".")
+    out_dir = Path(cfg.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)  # fails before the study runs
     run = run_spatial_study if mode == "spatial" else run_temporal_study
     records = run(study)
@@ -94,79 +76,9 @@ def _cmd_study(args, mode: str) -> int:
     return EXIT_OK
 
 
-def _verify_lines():
-    """Run every reduced-system check; yield (label, detail, passed)."""
-    # manufactured two-field convergence at dt = h
-    coeffs, w_ex, m_ex = manufactured_problem()
-    T = 0.5
-    errs = []
-    for n in (16, 32, 64, 128):
-        g = Grid1(n)
-        w, m, _ = run1d(g, coeffs, w_ex(g.x, 0.0), m_ex(g.x, 0.0), T, dt=g.h)
-        errs.append(error_norms_1d(g, w, w_ex(g.x, T))[0]
-                    + error_norms_1d(g, m, m_ex(g.x, T))[0])
-    orders = [observed_order(errs[k], errs[k + 1]) for k in range(3)]
-    yield ("manufactured convergence",
-           "orders " + " ".join(f"{o:.3f}" for o in orders),
-           all(0.8 <= o <= 1.3 for o in orders))
-
-    # characteristic-derivative difference quotient
-    s = lambda x, t: np.sin(2 * np.pi * x) * np.exp(-t) + 0.3 * x ** 2
-    s_t = lambda x, t: -np.sin(2 * np.pi * x) * np.exp(-t)
-    s_x = lambda x, t: 2 * np.pi * np.cos(2 * np.pi * x) * np.exp(-t) + 0.6 * x
-    b = lambda x: np.full_like(x, 0.7)
-    r_dt = characteristic_derivative_check(s, s_t, s_x, b, 1.0, 64, 0.02, 0.5)
-    r_half = characteristic_derivative_check(s, s_t, s_x, b, 1.0, 64, 0.01, 0.5)
-    ratio = r_dt / r_half
-    yield ("characteristic derivative", f"dt-halving ratio {ratio:.3f}",
-           1.6 <= ratio <= 2.4)
-
-    lin = lambda x, t: 2.0 + 3.0 * (x - 0.7 * t)
-    lin_t = lambda x, t: np.full_like(x, -2.1)
-    lin_x = lambda x, t: np.full_like(x, 3.0)
-    res = characteristic_derivative_check(lin, lin_t, lin_x, b, 1.0, 64, 0.02, 0.5)
-    yield ("characteristic exactness", f"linear-profile residual {res:.2e}",
-           res < 1e-10)
-
-    # diffusion stencil
-    quad = lambda x: 3 * x ** 2 - x + 0.5
-    res = diffusion_stencil_check(quad, lambda x: np.full_like(x, 2.0),
-                                lambda x: np.full_like(x, 12.0), 32)
-    yield ("diffusion exactness", f"constant-D quadratic residual {res:.2e}",
-           res < 1e-10)
-
-    sprof = lambda x: np.sin(2 * np.pi * x)
-    div_c = lambda x: -4 * np.pi ** 2 * np.sin(2 * np.pi * x)
-    one = lambda x: np.ones_like(x)
-    r_const = (diffusion_stencil_check(sprof, one, div_c, 32)
-               / diffusion_stencil_check(sprof, one, div_c, 64))
-    yield ("diffusion order, constant D", f"h-halving ratio {r_const:.3f}",
-           3.5 <= r_const <= 4.5)
-
-    D = lambda x: 1.0 + x ** 2
-    div_v = lambda x: (2 * x * 2 * np.pi * np.cos(2 * np.pi * x)
-                       - (1 + x ** 2) * 4 * np.pi ** 2 * np.sin(2 * np.pi * x))
-    r_var = (diffusion_stencil_check(sprof, D, div_v, 32)
-             / diffusion_stencil_check(sprof, D, div_v, 64))
-    yield ("diffusion order, variable D", f"h-halving ratio {r_var:.3f}",
-           1.7 <= r_var <= 4.5)
-
-    # foot interpolation order on C^2 data
-    f = lambda x: np.sin(2.3 * x + 0.7)
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(0, 1, 1000)
-    ierrs = []
-    for n in (32, 64):
-        g = Grid1(n)
-        ierrs.append(np.max(np.abs(interp_linear(g, f(g.x), pts) - f(pts))))
-    r_interp = ierrs[0] / ierrs[1]
-    yield ("foot interpolation order", f"h-halving ratio {r_interp:.3f}",
-           3.5 <= r_interp <= 4.5)
-
-
 def _cmd_verify(args) -> int:
     failures = 0
-    for label, detail, passed in _verify_lines():
+    for label, detail, passed in verify_1d():
         verdict = "PASS" if passed else "FAIL"
         print(f"{label:30s} {detail:42s} {verdict}")
         failures += 0 if passed else 1

@@ -3,7 +3,8 @@
 Config files are one `key = value` per line with `#` comments.  Keys carry
 the conventional symbol names of the data set (mu_o, s_ra, alpha0, c0, Q,
 dt, ...), so a config file reads like the parameter table it encodes.
-Values may be integers, floats, or simple fractions such as 2/3.
+Values may be integers, floats, or simple fractions such as 2/3, read by
+parse_number, the one number parser of files and flags alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from .petro import PetroModel
 from .pressure import WellConfig
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_value"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "parse_number"]
 
 
 class ConfigError(ValueError):
@@ -47,7 +48,6 @@ class RunConfig:
     alpha0: float = PetroModel.alpha0
     m: float = PetroModel.m
     beta: float = PetroModel.beta
-    eps_sat: float = PetroModel.eps_sat
 
     # scenario
     Q: float = 2.0              # injection rate (pore volumes per unit time)
@@ -57,9 +57,7 @@ class RunConfig:
     well_radius: float = 0.0    # well footprint; 0 = corner point sources
     threshold: float = -1.0     # breakthrough saturation; < 0 means 1 - s0
 
-    # numerics and output
-    pressure_tol: float = 1e-10
-    transport_tol: float = 1e-12
+    # output
     dump_every: int = 0         # dump cadence in steps; 0 = final state only
     out: str = ""
 
@@ -80,8 +78,6 @@ class RunConfig:
             raise ConfigError("radius must lie in (0, sqrt(2)]")
         if self.dump_every < 0:
             raise ConfigError("dump_every must be nonnegative")
-        if not (self.pressure_tol > 0.0 and self.transport_tol > 0.0):
-            raise ConfigError("solver tolerances must be positive")
         try:
             model = self.petro()
             self.wells()
@@ -97,7 +93,7 @@ class RunConfig:
     def petro(self) -> PetroModel:
         return PetroModel(mu_w=self.mu_w, mu_o=self.mu_o, s_ra=self.s_ra,
                           s_ro=self.s_ro, m=self.m, alpha0=self.alpha0,
-                          beta=self.beta, eps_sat=self.eps_sat)
+                          beta=self.beta)
 
     def wells(self) -> WellConfig:
         return WellConfig(rate=self.Q, c_injected=self.c0,
@@ -113,33 +109,41 @@ _STR_KEYS = {"out"}
 _VALID_KEYS = {f.name for f in fields(RunConfig)}
 
 
-def parse_value(text: str):
-    """Parse an int, float, or simple fraction like 2/3; plain text falls
-    through unchanged."""
+def parse_number(text: str):
+    """Parse an int, float, or simple fraction like 2/3; anything else
+    raises ConfigError."""
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
     if "/" in text:
         num, _, den = text.partition("/")
         try:
             return float(num) / float(den)
         except (ValueError, ZeroDivisionError):
             pass
-    return text
+    raise ConfigError(f"expected a number, got '{text}'")
 
 
 def parse_config(path, overrides: dict | None = None,
                  base: RunConfig = RunConfig()) -> RunConfig:
-    """Read a config file (optional); apply it, then overrides, to base."""
+    """Read a UTF-8 config file (optional); apply it, then overrides, to
+    base.  Bad input raises ConfigError; a malformed line, an unknown key
+    or a non-number in the file names its path:line."""
     values: dict = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError as err:
+            raise ConfigError(f"config file not found: {err.filename}") from err
+        except OSError as err:  # a directory, say, or no permission to read
+            raise ConfigError(f"cannot read config file '{path}': "
+                              f"{err.strerror}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"cannot read config file '{path}': not UTF-8 "
+                              f"({err.reason} at byte {err.start})") from err
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -150,7 +154,10 @@ def parse_config(path, overrides: dict | None = None,
             key = key.strip()
             if key not in _VALID_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            values[key] = val.strip() if key in _STR_KEYS else parse_value(val)
+            try:
+                values[key] = val.strip() if key in _STR_KEYS else parse_number(val)
+            except ConfigError as err:
+                raise ConfigError(f"{path}:{lineno}: key '{key}': {err}") from err
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     for key in values:

@@ -1,4 +1,4 @@
-"""Grid-refinement harness: norms, observed orders, and the two studies.
+"""Refinement harness: norms, observed orders, the two studies, verify_1d.
 
 Convergence is measured against the finest-grid run of the study, compared
 at that reference run's breakthrough time: the reference runs first with
@@ -13,8 +13,9 @@ Studies emit one CSV with columns
 
 where the order columns compare consecutive levels (blank on the first,
 and where either error is exactly 0) and time is the wall-clock seconds
-of that level's run.  Everything here is deterministic: no randomness
-enters the pipeline anywhere.
+of that level's run.  verify_1d runs each check of the 1-D reduced
+system with its inputs and pass window.  Everything here is
+deterministic: verify_1d's one random draw has a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .grids import Grid1, Grid2
+from .grids import Grid1, Grid2, interp_linear
+from .reduced1d import (characteristic_derivative_check, diffusion_stencil_check,
+                        manufactured_problem, run1d)
 from .simulate import run_simulation
 
 # The CLI's studies run on this base without a config file: bump wells keep
@@ -38,7 +41,7 @@ __all__ = [
     "STUDY_BASE", "ErrorRecord", "RefinementStudy",
     "restrict_to_coarse", "error_norms", "error_norms_1d", "observed_order",
     "run_spatial_study", "run_temporal_study",
-    "write_records_csv", "format_records",
+    "write_records_csv", "format_records", "verify_1d",
 ]
 
 
@@ -232,3 +235,72 @@ def format_records(records: list[ErrorRecord]) -> str:
             f"{_fmt(r.order2, '.3f') or '-':>7s} {r.emax:12.4e} "
             f"{_fmt(r.orderinf, '.3f') or '-':>7s} {r.time:8.2f}")
     return "\n".join(lines)
+
+
+def verify_1d():
+    """Run every reduced-system check; yield (label, detail, passed)."""
+    # manufactured two-field convergence at dt = h
+    coeffs, w_ex, m_ex = manufactured_problem()
+    T = 0.5
+    errs = []
+    for n in (16, 32, 64, 128):
+        g = Grid1(n)
+        w, m, _ = run1d(g, coeffs, w_ex(g.x, 0.0), m_ex(g.x, 0.0), T, dt=g.h)
+        errs.append(error_norms_1d(g, w, w_ex(g.x, T))[0]
+                    + error_norms_1d(g, m, m_ex(g.x, T))[0])
+    orders = [observed_order(errs[k], errs[k + 1]) for k in range(3)]
+    yield ("manufactured convergence",
+           "orders " + " ".join(f"{o:.3f}" for o in orders),
+           all(0.8 <= o <= 1.3 for o in orders))
+
+    # characteristic-derivative difference quotient
+    s = lambda x, t: np.sin(2 * np.pi * x) * np.exp(-t) + 0.3 * x ** 2
+    s_t = lambda x, t: -np.sin(2 * np.pi * x) * np.exp(-t)
+    s_x = lambda x, t: 2 * np.pi * np.cos(2 * np.pi * x) * np.exp(-t) + 0.6 * x
+    b = lambda x: np.full_like(x, 0.7)
+    r_dt = characteristic_derivative_check(s, s_t, s_x, b, 1.0, 64, 0.02, 0.5)
+    r_half = characteristic_derivative_check(s, s_t, s_x, b, 1.0, 64, 0.01, 0.5)
+    ratio = r_dt / r_half
+    yield ("characteristic derivative", f"dt-halving ratio {ratio:.3f}",
+           1.6 <= ratio <= 2.4)
+
+    lin = lambda x, t: 2.0 + 3.0 * (x - 0.7 * t)
+    lin_t = lambda x, t: np.full_like(x, -2.1)
+    lin_x = lambda x, t: np.full_like(x, 3.0)
+    res = characteristic_derivative_check(lin, lin_t, lin_x, b, 1.0, 64, 0.02, 0.5)
+    yield ("characteristic exactness", f"linear-profile residual {res:.2e}",
+           res < 1e-10)
+
+    # diffusion stencil
+    quad = lambda x: 3 * x ** 2 - x + 0.5
+    res = diffusion_stencil_check(quad, lambda x: np.full_like(x, 2.0),
+                                lambda x: np.full_like(x, 12.0), 32)
+    yield ("diffusion exactness", f"constant-D quadratic residual {res:.2e}",
+           res < 1e-10)
+
+    sprof = lambda x: np.sin(2 * np.pi * x)
+    div_c = lambda x: -4 * np.pi ** 2 * np.sin(2 * np.pi * x)
+    r_const = (diffusion_stencil_check(sprof, np.ones_like, div_c, 32)
+               / diffusion_stencil_check(sprof, np.ones_like, div_c, 64))
+    yield ("diffusion order, constant D", f"h-halving ratio {r_const:.3f}",
+           3.5 <= r_const <= 4.5)
+
+    D = lambda x: 1.0 + x ** 2
+    div_v = lambda x: (2 * x * 2 * np.pi * np.cos(2 * np.pi * x)
+                       - (1 + x ** 2) * 4 * np.pi ** 2 * np.sin(2 * np.pi * x))
+    r_var = (diffusion_stencil_check(sprof, D, div_v, 32)
+             / diffusion_stencil_check(sprof, D, div_v, 64))
+    yield ("diffusion order, variable D", f"h-halving ratio {r_var:.3f}",
+           1.7 <= r_var <= 4.5)
+
+    # foot interpolation order on C^2 data
+    f = lambda x: np.sin(2.3 * x + 0.7)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0, 1, 1000)
+    ierrs = []
+    for n in (32, 64):
+        g = Grid1(n)
+        ierrs.append(np.max(np.abs(interp_linear(g, f(g.x), pts) - f(pts))))
+    r_interp = ierrs[0] / ierrs[1]
+    yield ("foot interpolation order", f"h-halving ratio {r_interp:.3f}",
+           3.5 <= r_interp <= 4.5)

@@ -248,8 +248,7 @@ def multigrid(A, grid):
     hierarchy follows A's coefficients, jumps and pinned rows included.
     A is taken as a DIA matrix and is the finest level's operator.
     Returns a function r -> z that applies one V-cycle from a zero guess;
-    it is symmetric positive definite, as solve_cg's M must be.  Its
-    attribute operator is that DIA matrix, for solve_cg.  Raises
+    it is symmetric positive definite, as solve_cg's M must be.  Raises
     SolverError if A has a non-finite entry or not the grid's 5-point
     structure (five_point's offsets, no coupling across a row end,
     symmetric), if any level's diagonal is not positive and finite, or if
@@ -303,7 +302,6 @@ def multigrid(A, grid):
                 z += wdinv * (r - A @ z)
         return z
 
-    vcycle.operator = A
     return vcycle
 
 

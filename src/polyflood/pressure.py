@@ -179,7 +179,7 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
     M = multigrid(A, grid)
-    p = solve_cg(M.operator, b, M, tol=tol,
+    p = solve_cg(A, b, M, tol=tol,
                  x0=None if x0 is None else np.ravel(x0))
     # the pinned equation is decoupled, so its exact solution is 0 whatever
     # the preconditioner's coarse correction left there

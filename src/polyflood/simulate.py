@@ -85,13 +85,12 @@ def advance(state: State, cfg: RunConfig, model, wells, dt: float) -> State:
     # the pressure system is dropped once solved, before transport builds
     # its own system and multigrid hierarchy
     system = assemble_pressure(grid, state.s, state.c, model, wells, K=cfg.K)
-    p = solve_pressure(system, grid, tol=cfg.pressure_tol, x0=state.p)
+    p = solve_pressure(system, grid, x0=state.p)
     del system
     vx, vy = recover_velocity(grid, p, state.s, state.c, model, K=cfg.K)
 
     flow = State(grid, state.t, state.s, state.c, p, vx, vy)
-    params = StepParams(dt=dt, phi=cfg.phi, K=cfg.K, wells=wells,
-                        lin_tol=cfg.transport_tol)
+    params = StepParams(dt=dt, phi=cfg.phi, K=cfg.K, wells=wells)
     s_new = saturation_step(flow, model, params)
     c_new = concentration_step(flow, s_new, model, params)
     return State(grid, state.t + dt, s_new, c_new, p, vx, vy)

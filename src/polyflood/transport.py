@@ -157,7 +157,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
 
     rhs = (rhs_density * area).ravel()
     M = multigrid(A, grid)
-    s_new = solve_cg(M.operator, rhs, M, tol=params.lin_tol,
+    s_new = solve_cg(A, rhs, M, tol=params.lin_tol,
                      x0=state.s.ravel()).reshape(grid.shape)
     return np.clip(s_new, model.s_ra, 1.0 - model.s_ro)
 

@@ -53,10 +53,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
-    # a directory, or an empty path, which names the working directory
-    for path in (str(tmp_path), ""):
+    # a directory, an empty path, which names the working directory, or a
+    # file that is not UTF-8, which once ended in UnicodeDecodeError, exit 1
+    binary = tmp_path / "bin.cfg"
+    binary.write_bytes(b"\xff\xfeN = 8\n")
+    for path in (str(tmp_path), "", str(binary)):
         assert cli.main(["run", "--config", path]) == 2
-        assert "cannot read config file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and err.count("\n") == 1
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -66,8 +70,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "flood.cfg:2" in err and "whatever" in err
 
-    cfg.write_text("N = one\n")
-    assert cli.main(["run", "--config", str(cfg)]) == 2
+    # a value that is not a number names its line and key, as above
+    for text, where in (("N = one\n", "flood.cfg:1: key 'N'"),
+                        ("N = 8\ndt = fast\n", "flood.cfg:2: key 'dt'")):
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert where in err
+        assert err.count("\n") == 1
 
 
 def test_invalid_flag_value_exits_2(tmp_path, capsys):
@@ -83,14 +93,19 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
     assert "tstop must be nonnegative and finite" in err
     # each of these once ran with no wells, a default threshold or an
     # unsolved field and exited 0, or failed step 1 with exit 3
-    for text in ("Q = nan", "threshold = nan", "pressure_tol = inf",
-                 "transport_tol = inf", "phi = 0", "phi = nan", "K = nan",
-                 "K = 0", "K = -1", "c0 = nan", "beta = nan", "Q = inf",
-                 "mu_w = inf"):
+    for text in ("Q = nan", "threshold = nan", "phi = 0", "phi = nan",
+                 "K = nan", "K = 0", "K = -1", "c0 = nan", "beta = nan",
+                 "Q = inf", "mu_w = inf"):
         cfg.write_text(f"N = 8\ntstop = 0.1\n{text}\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2, text
         key = text.split()[0]
         assert key in capsys.readouterr().err, text
+    # the solver tolerances and the clamp margin have their one home in
+    # solve_pressure, StepParams and PetroModel, not in the config
+    for key in ("pressure_tol", "transport_tol", "eps_sat"):
+        cfg.write_text(f"N = 8\ntstop = 0.1\n{key} = inf\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 2, key
+        assert f"unknown key '{key}'" in capsys.readouterr().err, key
     assert cli.main(["study-spatial", "--levels", "5,9",
                      "--reference", "13", "--tstop", "0.1"]) == 2
     assert cli.main(["study-spatial", "--levels", "0,8",
@@ -99,6 +114,10 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
                      "--reference", "16.5", "--tstop", "0.1"]) == 2
     err = capsys.readouterr().err
     assert "at least 2" in err and "16.5" in err
+    assert cli.main(["study-spatial", "--levels", "4,x",
+                     "--reference", "16", "--tstop", "0.1"]) == 2
+    assert capsys.readouterr().err == ("config error: expected a number, "
+                                       "got 'x'\n")
 
 
 
@@ -232,6 +251,18 @@ def test_studies_default_to_the_bump_well_base(command, tmp_path, monkeypatch,
     assert default.well_radius > 0.0
     assert default == replace(STUDY_BASE, tstop=0.1, out=str(tmp_path))
     assert from_file == RunConfig(Q=1.5, tstop=0.1, out=str(tmp_path))
+
+
+def test_a_study_writes_to_the_config_files_out(tmp_path, monkeypatch,
+                                               capsys):
+    # the study once ignored the file's out and wrote ./spatial_study.csv
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.cfg").write_text("out = studyout\n")
+    assert cli.main(["study-spatial", "--config", "o.cfg", "--levels", "4,8",
+                     "--reference", "16", "--tstop", "0.1"]) == 0
+    assert (tmp_path / "studyout" / "spatial_study.csv").is_file()
+    assert not (tmp_path / "spatial_study.csv").exists()
+    assert "wrote studyout/spatial_study.csv" in capsys.readouterr().out
 
 
 def test_temporal_study_writes_csv(tmp_path, capsys):

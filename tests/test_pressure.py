@@ -586,14 +586,6 @@ def test_multigrid_wants_the_five_point_structure():
             multigrid(bad, grid)
 
 
-@pytest.mark.parametrize("g", [Grid2(8, 8), Grid2(40, 23)],
-                         ids=["one-level", "two-level"])
-def test_multigrid_operator_is_the_matrix_given(g):
-    # solve_cg multiplies by A itself, whether or not the grid coarsens
-    A = spd_five_point(g, seed=4)
-    assert multigrid(A, g).operator is A
-
-
 def test_galerkin_maps_are_built_once_per_shape_and_read_only():
     galerkin = polyflood.linsolve._galerkin_map
     galerkin.cache_clear()
