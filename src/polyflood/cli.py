@@ -36,13 +36,10 @@ EXIT_VERIFY = 4
 
 
 def _load_config(args, base: RunConfig = RunConfig()) -> RunConfig:
-    overrides = {
-        "N": getattr(args, "nx", None),
-        "dt": getattr(args, "dt", None),
-        "tstop": args.tstop,
-        "threshold": args.threshold,
-        "out": args.out,
-    }
+    overrides = {"N": getattr(args, "nx", None), "out": args.out}
+    for key in ("dt", "tstop", "threshold"):  # numbers as in a config file
+        text = getattr(args, key, None)
+        overrides[key] = None if text is None else parse_number(text)
     return parse_config(args.config, overrides, base)
 
 
@@ -97,9 +94,9 @@ def _add_common(p, nx=True, dt=True):
     if nx:
         p.add_argument("--nx", type=int, default=None, help="cells per direction")
     if dt:
-        p.add_argument("--dt", type=float, default=None, help="time step")
-    p.add_argument("--tstop", type=float, default=None, help="stop time")
-    p.add_argument("--threshold", type=float, default=None,
+        p.add_argument("--dt", default=None, help="time step")
+    p.add_argument("--tstop", default=None, help="stop time")
+    p.add_argument("--threshold", default=None,
                    help="breakthrough saturation threshold")
 
 

@@ -104,9 +104,8 @@ class RunConfig:
         return self.threshold if self.threshold >= 0.0 else 1.0 - self.s0
 
 
-_INT_KEYS = {"N", "dump_every"}
-_STR_KEYS = {"out"}
-_VALID_KEYS = {f.name for f in fields(RunConfig)}
+# each key's type is that of its default: int, float or str
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_number(text: str):
@@ -152,24 +151,22 @@ def parse_config(path, overrides: dict | None = None,
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _VALID_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                values[key] = val.strip() if key in _STR_KEYS else parse_number(val)
+                values[key] = (val.strip() if _KEY_TYPES[key] is str
+                               else parse_number(val))
             except ConfigError as err:
                 raise ConfigError(f"{path}:{lineno}: key '{key}': {err}") from err
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in values:
-        if key not in _VALID_KEYS:
+    for key, value in values.items():
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
-        if key in _INT_KEYS:
-            if not isinstance(values[key], int):
-                raise ConfigError(f"config key '{key}' wants an integer, "
-                                  f"got {values[key]!r}")
-        elif key not in _STR_KEYS and not isinstance(values[key], (int, float)):
-            raise ConfigError(f"config key '{key}' wants a number, "
-                              f"got {values[key]!r}")
+        kind = _KEY_TYPES[key]
+        if not isinstance(value, (int, float) if kind is float else kind):
+            wanted = {int: "an integer", float: "a number", str: "a string"}[kind]
+            raise ConfigError(f"config key '{key}' wants {wanted}, got {value!r}")
     try:
         return replace(base, **values)
     except TypeError as err:

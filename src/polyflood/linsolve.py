@@ -16,19 +16,17 @@ solve_cg caps every solve at MULTIGRID_MAX_ITER iterations.  LAPACK's
 dpbtrf and dpbtrs, called directly, factor and solve the coarsest level.
 
 Each level is held as its planes, every node's coupling to itself and to
-its neighbours further on in the node order.  Sliced, they are the rows
-of the DIA matrix that makes the level's products (scipy's dia_matvec
-sums a row in a CSR row's order, so the bits are the same), the band of
-the coarsest level, and the input of the next level's Galerkin map.
-
-What depends on the grid shape only is built once per shape and cached
-read-only: the prolongation and restriction, and per coarsening level the
-linear map from its planes to the next level's: about 320 bytes per fine
-node, 245 of them the maps (3.0 MB at N = 96).  Per call, five_point
-fills the 5-point DIA matrix, the finest level; multigrid reads its
-planes from that matrix's data, applies the maps (one sparse product per
-level) and slices each coarser level's DIA matrix, smoother weights and
-band.
+its neighbours further on in the node order (_UPPER_STEPS).  Sliced, they
+are the rows of the level's DIA matrix (scipy's dia_matvec sums a row in
+a CSR row's order, so the bits are the same) and the coarsest level's
+band.  What depends on the grid shape only is built once per shape and
+cached read-only: the prolongation and restriction, and per coarsening
+level the map from its planes to the next level's, read off P's rows with
+exact weights: about 320 bytes per fine node, 245 of them the maps (3.0 MB
+at N = 96).  Per call, five_point fills the finest level's DIA matrix;
+multigrid reads its planes from that matrix's data, applies the maps (one
+sparse product per level) and slices each coarser level's DIA matrix,
+smoother weights and band.
 """
 
 from __future__ import annotations
@@ -155,71 +153,63 @@ def _prolongation(nx: int, ny: int):
     return P, P.T.tocsr()
 
 
+# the steps (dx, dy) from a node to itself and to the neighbours it couples
+# to further on in the node order, in the 5- and in the 9-point stencil
+_UPPER_STEPS = {5: ((0, 0), (1, 0), (0, 1)),
+                9: ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))}
+
+
+def _shifts(nx: int, points: int) -> list:
+    """Node-index shift of each upper coupling on a grid nx cells wide."""
+    return [dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points]]
+
+
 # one entry per coarsening level, so a hierarchy of up to 8 (N = 4096)
 # keeps all of its maps instead of evicting its own first level
 @functools.lru_cache(maxsize=8)
 def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
     """R A P on an nx-by-ny grid as one read-only linear map G: for A
     symmetric with a points-stencil, G @ planes maps A's planes, a
-    flattened (points // 2 + 1, ny+1, nx+1) stack of its upper couplings
-    (the centre, then east and north for 5 points; east, north-west, north
-    and north-east for 9), to those of R A P.  A's coupling (k, l), k <= l,
-    stands for A_lk too: it adds P_kI P_lJ + P_kJ P_lI to the coupling of
-    each pair of coarse nodes I <= J, one a parent of k and the other of
-    l, and half that for k = l.
+    flattened (points // 2 + 1, ny+1, nx+1) stack of its couplings along
+    _UPPER_STEPS, to those of R A P.  G is read off P's rows: A's coupling
+    (k, l), k <= l, stands for A_lk too, so each parent I of k and J of l
+    add P_kI P_lJ to the coupling of min(I, J) and max(I, J), twice that
+    for I = J and half that for k = l.  Each weight sums products of 1,
+    1/2 and 1/4, so it is exact, and each row sums in (k, plane) order.
     """
-    steps = ([(0, 0), (1, 0), (0, 1)] if points == 5
-             else [(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)])
-    j, i = np.indices((ny + 1, nx + 1))
-    present = np.stack([(0 <= i + di) & (i + di <= nx) & (j + dj <= ny)
-                        for di, dj in steps]).reshape(len(steps), -1)
-    # every coupling inside the grid, node by node in column order: each
-    # row of G sums in that order, which fixes its rounding
-    k, plane = np.nonzero(present.T)
-    l = k + np.array([dj * (nx + 1) + di for di, dj in steps])[plane]
-    fine_slot = plane * present.shape[1] + k
     P = _prolongation(nx, ny)[0]
+    (n, coarse), steps = P.shape, _UPPER_STEPS[points]
     width = (nx + 1) // 2 + 1
-    coarse = width * ((ny + 1) // 2 + 1)
-    # a fine node's parents fill a box, one or two coarse nodes a side, of
-    # equal weights: relative to k's first parent, the pairs and weights of
-    # (k, l) depend only on both boxes' sides, l's start and whether k = l
-    first, last = P.indices[P.indptr[:-1]], P.indices[P.indptr[1:] - 1]
-    x, y = first % width, first // width
-    wide, tall = last % width - x, last // width - y
-    shape = (2, 2, 2, 2, 3, 3, 2)
-    kind = np.ravel_multi_index((wide[k], tall[k], wide[l], tall[l],
-                                 x[l] - x[k] + 1, y[l] - y[k] + 1, k == l), shape)
-    gptr = np.zeros(k.size + 1, dtype=np.int32)
-    templates = []
-    for code in np.unique(kind):
-        wk, tk, wl, tl, dx, dy, diag = np.unravel_index(code, shape)
-        pairs = {}
-        for iy, ix, jy, jx in np.ndindex(tk + 1, wk + 1, tl + 1, wl + 1):
-            I, J = (iy, ix), (dy - 1 + jy, dx - 1 + jx)
-            (ly, lx), (hy, hx) = sorted((I, J))
-            # upper planes: centre, east, north-west, north, north-east
-            slot = (3 * (hy - ly) + hx - lx) * coarse + ly * width + lx
-            pairs[slot] = pairs.get(slot, 0) + 1 + (I == J)
-        sel = np.flatnonzero(kind == code)
-        gptr[sel + 1] = len(pairs)
-        scale = (1 + wk) * (1 + tk) * (1 + wl) * (1 + tl) * (1 + diag)
-        templates.append((sel, np.fromiter(pairs, np.int32),
-                          np.fromiter(pairs.values(), float) / scale))
-    np.cumsum(gptr, out=gptr)
-    cols = np.empty(gptr[-1], dtype=np.int32)
-    weights = np.empty(gptr[-1])
-    for sel, offsets, values in templates:
-        dest = gptr[sel, None] + np.arange(offsets.size, dtype=np.int32)
-        cols[dest] = first[k[sel], None] + offsets
-        weights[dest] = values
-    # filled by fine coupling; as CSR it is 8% smaller than that transpose
-    # and about 30% faster to apply.  Its columns then move from couplings
-    # to plane slots, and each row keeps the order its sum is taken in.
-    G = sparse.csr_matrix((weights, cols, gptr),
-                          shape=(k.size, 5 * coarse)).T.tocsr()
-    G = sparse.csr_matrix((G.data, fine_slot.take(G.indices), G.indptr),
-                          shape=(5 * coarse, present.size))
+    j, i = np.divmod(np.arange(n, dtype=np.int32), nx + 1)
+    count = np.diff(P.indptr)
+
+    # one plane at a time, so that only one plane's pairs are alive
+    def plane_map(plane, dx, dy):
+        k = np.flatnonzero((0 <= i + dx) & (i + dx <= nx) & (j + dy <= ny))
+        l = k + dy * (nx + 1) + dx
+        # entry a of P's row k against entry b of its row l, pair by pair
+        m = count[k] * count[l]
+        first = np.repeat(np.cumsum(m) - m, m)
+        a, b = np.divmod(np.arange(first.size, dtype=np.int32) - first,
+                         np.repeat(count[l], m))
+        a += np.repeat(P.indptr[k], m)
+        b += np.repeat(P.indptr[l], m)
+        I, J = P.indices[a], P.indices[b]
+        weight = P.data[a] * P.data[b] * (1.0 + (I == J)) / (1 + (plane == 0))
+        lo, hi = np.minimum(I, J), np.maximum(I, J)
+        slot = coarse * (3 * (hi // width - lo // width)
+                         + hi % width - lo % width) + lo
+        # columns in (k, plane) order, moved to plane slots below; repeats add
+        column = np.repeat(k * len(steps) + plane, m)
+        return sparse.csr_matrix((weight, (slot, column)),
+                                 shape=(5 * coarse, len(steps) * n))
+
+    G = sum(plane_map(plane, dx, dy) for plane, (dx, dy) in enumerate(steps))
+    # to plane slots by an intp gather that scipy narrows to int32; freeing
+    # the wide copy lifts glibc's mmap and trim thresholds (else steps refault)
+    k, plane = np.divmod(np.arange(G.shape[1]), len(steps))
+    G = sparse.csr_matrix((G.data, (plane * n + k)[G.indices], G.indptr),
+                          shape=G.shape)
     for array in (G.indptr, G.indices, G.data):
         array.flags.writeable = False
     return G
@@ -252,7 +242,9 @@ def multigrid(A, grid):
     SolverError if A has a non-finite entry or not the grid's 5-point
     structure (five_point's offsets, no coupling across a row end,
     symmetric), if any level's diagonal is not positive and finite, or if
-    the coarsest level is not positive definite.
+    the coarsest level is not positive definite.  Point-Jacobi smoothing
+    with full coarsening stalls on cells hundreds of times wider than tall
+    (2 x 700 cells end at the iteration cap); the CLI builds N x N grids.
     """
     A = A.todia()
     data = A.data
@@ -269,18 +261,17 @@ def multigrid(A, grid):
             and np.array_equal(data[1, :-1], data[3, 1:])
             and np.array_equal(data[0, :-w], data[4, w:])):
         raise SolverError("matrix does not have the grid's 5-point structure")
-    planes, shifts = data[2::-1], (0, 1, w)
+    planes = data[2::-1]
     levels = []
     while (nx + 1) * (ny + 1) > COARSEST_NODES:
         centre = planes[0]
         if not (np.all(centre > 0.0) and np.all(centre < np.inf)):
             raise SolverError("matrix diagonal not positive and finite")
-        levels.append((_stencil_operator(planes, shifts) if levels else A,
-                       SMOOTH_OMEGA * (1.0 / centre), *_prolongation(nx, ny)))
+        op = _stencil_operator(planes, _shifts(nx, points)) if levels else A
+        levels.append((op, SMOOTH_OMEGA * (1.0 / centre), *_prolongation(nx, ny)))
         planes = (_galerkin_map(nx, ny, points) @ planes.ravel()).reshape(5, -1)
         nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
-        shifts = (0, 1, nx, nx + 1, nx + 2)
-    factor = _banded_cholesky(planes, shifts)
+    factor = _banded_cholesky(planes, _shifts(nx, points))
 
     # a loop, not recursion: a self-referencing closure would keep every
     # step's hierarchy alive until the cyclic garbage collector ran

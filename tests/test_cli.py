@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from polyflood import PetroModel, cli, harness
-from polyflood.config import RunConfig, parse_config
+from polyflood.config import ConfigError, RunConfig, parse_config
 from polyflood.grids import Grid2, read_field
 from polyflood.harness import STUDY_BASE
 from polyflood.linsolve import SolverError
@@ -118,6 +118,22 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
                      "--reference", "16", "--tstop", "0.1"]) == 2
     assert capsys.readouterr().err == ("config error: expected a number, "
                                        "got 'x'\n")
+    # --dt, --tstop and --threshold read numbers as a config file does
+    assert cli.main(["run", "--nx", "8", "--dt", "1/50", "--tstop", "0.1",
+                     "--out", str(tmp_path / "fraction")]) == 0
+    assert "steps 5" in capsys.readouterr().out
+    assert cli.main(["run", "--nx", "8", "--dt", "1/50", "--tstop", "x"]) == 2
+    assert capsys.readouterr().err == ("config error: expected a number, "
+                                       "got 'x'\n")
+
+
+def test_overrides_take_each_keys_type_from_its_default():
+    # out = 5 once built a RunConfig and failed in run_simulation
+    for key, value in (("out", 5), ("N", 8.0), ("dt", "0.05")):
+        with pytest.raises(ConfigError, match=f"config key '{key}' wants"):
+            parse_config(None, {"N": 8, "tstop": 0.05, key: value})
+    cfg = parse_config(None, {"N": 8, "dt": 1, "out": "fields"})
+    assert (cfg.N, cfg.dt, cfg.out) == (8, 1, "fields")
 
 
 

@@ -544,6 +544,26 @@ def stencil_csr(planes, nx, ny):
     return A
 
 
+@pytest.mark.parametrize("nx, ny, points", [
+    (33, 65, 5), (40, 23, 5), (2, 300, 5), (17, 33, 9), (20, 12, 9),
+    (1, 150, 9), (49, 49, 9)])
+def test_each_galerkin_map_is_exact(nx, ny, points):
+    # on integer planes every product and sum is exact, so each map gives
+    # the upper planes of P^T A P, with P and A built here, to the bit
+    rng = np.random.default_rng(points * nx + ny)
+    planes = rng.integers(-8, 9, (points // 2 + 1, (nx + 1) * (ny + 1)))
+    P = bilinear_prolongation(nx, ny)
+    coarse = (P.T @ stencil_csr(planes.astype(float), nx, ny) @ P).toarray()
+    cx, cy = (nx + 1) // 2, (ny + 1) // 2
+    y, x = np.divmod(np.arange(coarse.shape[0]), cx + 1)
+    expected = np.zeros((5, coarse.shape[0]))
+    for plane, (dx, dy) in enumerate([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]):
+        k = np.flatnonzero((0 <= x + dx) & (x + dx <= cx) & (y + dy <= cy))
+        expected[plane, k] = coarse[k, k + dy * (cx + 1) + dx]
+    G = polyflood.linsolve._galerkin_map(nx, ny, points)
+    assert np.array_equal(G @ planes.ravel(), expected.ravel())
+
+
 @pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
 @MULTILEVEL_SHAPES
 def test_stencil_products_match_csr_bit_for_bit(g, system, monkeypatch):
