@@ -36,8 +36,8 @@ EXIT_VERIFY = 4
 
 
 def _load_config(args, base: RunConfig = RunConfig()) -> RunConfig:
-    overrides = {"N": getattr(args, "nx", None), "out": args.out}
-    for key in ("dt", "tstop", "threshold"):  # numbers as in a config file
+    overrides = {"out": args.out}
+    for key in ("N", "dt", "tstop", "threshold"):  # numbers as in a file
         text = getattr(args, key, None)
         overrides[key] = None if text is None else parse_number(text)
     return parse_config(args.config, overrides, base)
@@ -92,7 +92,8 @@ def _add_common(p, nx=True, dt=True):
     p.add_argument("--config", default=None, help="flat key = value file")
     p.add_argument("--out", default=None, help="output directory")
     if nx:
-        p.add_argument("--nx", type=int, default=None, help="cells per direction")
+        p.add_argument("--nx", dest="N", default=None,
+                       help="cells per direction")
     if dt:
         p.add_argument("--dt", default=None, help="time step")
     p.add_argument("--tstop", default=None, help="stop time")

@@ -114,9 +114,11 @@ def parse_number(text: str):
     text = text.strip()
     for parse in (int, float):
         try:
-            return parse(text)
+            value = parse(text)
         except ValueError:
-            pass
+            continue
+        # an integer too large for a float reads as the inf it overflows to
+        return value if math.isfinite(float(text)) else float(text)
     if "/" in text:
         num, _, den = text.partition("/")
         try:
@@ -167,7 +169,4 @@ def parse_config(path, overrides: dict | None = None,
         if not isinstance(value, (int, float) if kind is float else kind):
             wanted = {int: "an integer", float: "a number", str: "a string"}[kind]
             raise ConfigError(f"config key '{key}' wants {wanted}, got {value!r}")
-    try:
-        return replace(base, **values)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
+    return replace(base, **values)

@@ -41,10 +41,6 @@ class Grid1:
     def h(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def shape(self):
-        return (self.n + 1,)
-
     @cached_property
     def x(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n + 1)
@@ -119,7 +115,7 @@ class Grid2:
 class Field:
     """Nodal scalar field bound to its grid."""
 
-    grid: Grid1 | Grid2
+    grid: Grid2
     data: np.ndarray
     label: str = ""
 
@@ -174,8 +170,6 @@ def write_field(path, fld: Field, time: float) -> None:
     produce byte-identical files and reads recover values exactly.
     """
     grid = fld.grid
-    if not isinstance(grid, Grid2):
-        raise TypeError("field dumps are defined for 2-D grids")
     lines = [f"# {grid.nx} {grid.ny} {float(time)!r} {fld.label}".rstrip()]
     lines += (" ".join(map(repr, row)) for row in fld.data.tolist())
     Path(path).write_text("\n".join(lines) + "\n")

@@ -98,9 +98,10 @@ class RefinementStudy:
 
     Spatial mode varies N over `levels` against `reference` cells at the
     base time step; temporal mode varies dt over `levels` against the
-    `reference` step at the base grid.  Levels must refine strictly toward
-    the reference, which itself must be strictly finer than every level;
-    spatial levels and reference are integral grid sizes.
+    `reference` step at the base grid.  Each level halves the step of the
+    one before (h = 1/N in space, dt in time), as the log2 orders assume,
+    and the reference is finer than the last level, in space a multiple
+    of it; grid sizes are integers of at least 2.
     """
 
     mode: str
@@ -113,31 +114,26 @@ class RefinementStudy:
             raise ConfigError(f"unknown study mode '{self.mode}'")
         if len(self.levels) < 2:
             raise ConfigError("a study needs at least two levels")
-        if len(set(self.levels)) != len(self.levels):
-            raise ConfigError("repeated refinement levels make the order "
-                              "undefined")
-        if self.mode == "spatial":
-            for n in (*self.levels, self.reference):
-                if not float(n).is_integer():
-                    raise ConfigError(f"grid sizes must be integers, got {n}")
-            ns = [int(n) for n in self.levels]
-            if ns != sorted(ns):
-                raise ConfigError("spatial levels must refine monotonically")
-            if ns[0] < 2:
-                raise ConfigError(f"grid sizes must be at least 2 (got {ns[0]})")
-            n_ref = int(self.reference)
-            for n in ns:
-                if n_ref % n != 0 or n_ref <= n:
-                    raise ConfigError(f"reference grid {n_ref} must be a "
-                                      f"strict multiple of every level (got {n})")
+        levels, ref = self.levels, self.reference
+        pairs = zip(levels, levels[1:])
+        if self.mode == "spatial":  # h = 1/N halves as N doubles
+            for n in (*levels, ref):
+                if not (float(n).is_integer() and n >= 2):
+                    raise ConfigError(f"grid sizes must be integers of at "
+                                      f"least 2, got {n}")
+            halves = all(fine == 2 * coarse for coarse, fine in pairs)
+            finer = ref > levels[-1] and ref % levels[-1] == 0
         else:
-            dts = [float(d) for d in self.levels]
-            if not all(0.0 < d < math.inf for d in (*dts, float(self.reference))):
+            if not all(0.0 < d < math.inf for d in (*levels, ref)):
                 raise ConfigError("time steps must be positive and finite")
-            if dts != sorted(dts, reverse=True):
-                raise ConfigError("temporal levels must shrink monotonically")
-            if not float(self.reference) < min(dts):
-                raise ConfigError("reference step must be the finest")
+            halves = all(coarse == 2 * fine for coarse, fine in pairs)
+            finer = ref < levels[-1]
+        if not halves:
+            raise ConfigError("each level must halve the step of the one "
+                              f"before (h = 1/N, dt), got {levels}")
+        if not finer:
+            raise ConfigError(f"reference {ref} must be finer than the last "
+                              "level (in space, a multiple of it)")
 
 
 def _timed_run(cfg: RunConfig, **kw):

@@ -109,13 +109,13 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
                    t_end: float | None = None) -> RunResult:
     """March the coupled system from the initial state.
 
-    The loop guard follows the production corner: it steps while that node
-    sits at or below the breakthrough threshold and time remains, then
-    records the first crossing time.  Studies advance to an exact common
-    time instead by passing t_end and stop_at_breakthrough=False; the last
-    step is shortened to land on it.  Failures dump the last consistent
-    state before propagating; a step that fails a numerical check raises
-    SolverError.
+    Each state, the initial one included, passes one point of the loop:
+    it is observed, records breakthrough if it is the first whose
+    production corner exceeds the threshold, and is dumped if it is the
+    last or dump_every divides its step count.  Studies pass t_end and
+    stop_at_breakthrough=False to land on an exact common time, shortening
+    the last step.  Failures dump the last consistent state before
+    propagating; a step that fails a numerical check raises SolverError.
     """
     model = cfg.petro()
     wells = cfg.wells()
@@ -123,19 +123,23 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
 
     state = init_state(cfg)
     summary = RunSummary()
-    summary.observe(state, model)
-
     out_dir = None
     dumps: list = []
     if cfg.out:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.dump_every > 0:
-            dumps += _dump(state, out_dir, 0)
 
-    threshold = cfg.breakthrough_threshold
-    while state.t < t_final - _TIME_EPS * max(1.0, t_final):
-        if stop_at_breakthrough and state.s[-1, -1] > threshold:
+    while True:
+        summary.observe(state, model)
+        if summary.breakthrough_time is None \
+                and state.s[-1, -1] > cfg.breakthrough_threshold:
+            summary.breakthrough_time = state.t
+        last = (state.t >= t_final - _TIME_EPS * max(1.0, t_final)
+                or stop_at_breakthrough and summary.breakthrough_time is not None)
+        if out_dir is not None and (last or cfg.dump_every > 0
+                                    and summary.steps % cfg.dump_every == 0):
+            dumps += _dump(state, out_dir, summary.steps)
+        if last:
             break
         dt = min(cfg.dt, t_final - state.t)
         try:
@@ -155,14 +159,6 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
                 raise failure from err
             raise
         summary.steps += 1
-        summary.observe(state, model)
-        if summary.breakthrough_time is None and state.s[-1, -1] > threshold:
-            summary.breakthrough_time = state.t
-        if out_dir is not None and cfg.dump_every > 0 \
-                and summary.steps % cfg.dump_every == 0:
-            dumps += _dump(state, out_dir, summary.steps)
 
     summary.final_time = state.t
-    if out_dir is not None:
-        dumps += _dump(state, out_dir, summary.steps)
     return RunResult(state, summary, dumps)

@@ -127,6 +127,60 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
                                        "got 'x'\n")
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "huge.cfg"], ["run", "--nx", "8", "--tstop", _HUGE],
+    ["run", "--nx", _HUGE], ["run", "--nx", "8.0"],
+    ["study-spatial", "--levels", f"4,{_HUGE}", "--reference", "16"],
+    ["study-spatial", "--levels", "4,8", "--reference", _HUGE],
+], ids=["file-Q", "tstop", "nx", "nx-float", "levels", "reference"])
+def test_a_number_too_large_for_a_float_exits_2(argv, tmp_path, monkeypatch,
+                                                capsys):
+    # each once ended in OverflowError, exit 1; --nx 8.0 in argparse's
+    # usage error, where N = 8.0 in a file gave the one config-error line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.cfg").write_text(f"N = 8\nQ = {_HUGE}\n")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["study-spatial", "--levels", "4,12", "--reference", "24"],
+    ["study-temporal", "--levels", "0.04,0.01", "--reference", "0.005"]],
+    ids=["spatial", "temporal"])
+def test_a_ladder_that_does_not_halve_exits_2(argv, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(harness, "run_simulation", no_run)
+    assert cli.main([*argv, "--tstop", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: each level must halve")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("radius", 0.0), ("radius", 1.5), ("dump_every", -1), ("mu_w", 0.0),
+    ("s0", 0.05), ("threshold", 1.0)])
+def test_a_value_outside_its_range_is_a_config_error(key, value, tmp_path,
+                                                     capsys):
+    # mu_w = 0 is PetroModel's ValueError, raised again as a ConfigError
+    with pytest.raises(ConfigError):
+        RunConfig(**{key: value})
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(f"N = 8\n{key} = {value}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_an_unknown_override_key_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown config key 'nx'"):
+        parse_config(None, {"nx": 8})
+
+
 def test_overrides_take_each_keys_type_from_its_default():
     # out = 5 once built a RunConfig and failed in run_simulation
     for key, value in (("out", 5), ("N", 8.0), ("dt", "0.05")):
@@ -296,6 +350,14 @@ def test_verification_battery_passes(capsys):
     assert cli.main(["verify-1d"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+def test_a_failed_verification_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_1d",
+                        lambda: iter([("broken check", "ratio 0.000", False)]))
+    assert cli.main(["verify-1d"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL" in out and out.endswith("1 check(s) failed\n")
 
 
 # The N = 8 extremes sweep: each data-set extreme alone, then seeded

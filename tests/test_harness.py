@@ -118,6 +118,29 @@ def test_study_validation():
         RefinementStudy("temporal", (0.05, 0.025), 0.025, base)  # not finer
 
 
+def test_a_ladder_that_does_not_halve_is_refused():
+    # the log2 orders assume halving: on the CLI's study base at
+    # tstop = 0.1, levels 4, 12 printed an s order of 3.475 where the
+    # true ratio of 3 gives 2.19, and at N = 8 steps 0.04, 0.01 printed
+    # 2.54 for a rate of about 1.27
+    base = RunConfig()
+    for mode, levels, reference in (("spatial", (4, 12), 24),
+                                    ("spatial", (4, 8, 32), 64),
+                                    ("temporal", (0.04, 0.01), 0.005),
+                                    ("temporal", (0.05, 0.025, 0.0125 * 0.9),
+                                     0.001)):
+        with pytest.raises(ConfigError, match="must halve"):
+            RefinementStudy(mode, levels, reference, base)
+    # the reference is finer than the last level, in space a multiple of it
+    RefinementStudy("spatial", (4, 8), 24, base)
+    RefinementStudy("temporal", (0.05, 0.025), 0.02, base)
+    for mode, levels, reference in (("spatial", (4, 8), 12),
+                                    ("spatial", (4, 8), 8),
+                                    ("temporal", (0.05, 0.025), 0.025)):
+        with pytest.raises(ConfigError, match="finer than the last level"):
+            RefinementStudy(mode, levels, reference, base)
+
+
 def test_spatial_study_wants_integral_grid_sizes():
     # 2.5 once ran as N = 2 and a reference of 8.7 as 8
     base = RunConfig()

@@ -99,6 +99,31 @@ def test_dumps_are_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_each_dump_is_written_and_listed_once(tmp_path):
+    # the final state was dumped again when dump_every divided its step,
+    # and the initial one twice at tstop = 0
+    for tstop, steps in ((0.2, (0, 2, 4)), (0.0, (0,))):
+        out = tmp_path / f"t{tstop}"
+        cfg = RunConfig(N=8, dt=0.05, tstop=tstop, dump_every=2, out=str(out))
+        dumps = run_simulation(cfg).dumps
+        assert len(dumps) == len(set(dumps)) == 3 * len(steps)
+        assert sorted(dumps) == sorted(out.iterdir())
+        assert sorted(p.name for p in dumps) == sorted(
+            f"{label}_{k:06d}.txt" for label in "scp" for k in steps)
+
+
+@pytest.mark.parametrize("stop", [True, False])
+@pytest.mark.parametrize("kw", [{"radius": np.sqrt(2.0)}, {"threshold": 0.15}],
+                         ids=["flooded", "low-threshold"])
+def test_a_corner_past_the_threshold_at_the_start_is_breakthrough_at_0(kw, stop):
+    # the initial state was never tested: these reported None with the
+    # stop on and the first step's time, 0.02, with it off
+    cfg = RunConfig(N=8, tstop=0.06, **kw)
+    summary = run_simulation(cfg, stop_at_breakthrough=stop).summary
+    assert summary.breakthrough_time == 0.0
+    assert summary.steps == (0 if stop else 3)
+
+
 class CountingMatrix:
     """Forwards what solve_cg uses of a matrix and counts the products."""
 
