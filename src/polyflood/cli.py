@@ -92,8 +92,7 @@ def _add_common(p, nx=True, dt=True):
     p.add_argument("--config", default=None, help="flat key = value file")
     p.add_argument("--out", default=None, help="output directory")
     if nx:
-        p.add_argument("--nx", dest="N", default=None,
-                       help="cells per direction")
+        p.add_argument("--nx", dest="N", default=None, help="cells per direction")
     if dt:
         p.add_argument("--dt", default=None, help="time step")
     p.add_argument("--tstop", default=None, help="stop time")
@@ -113,16 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp = sub.add_parser("study-spatial", help="grid refinement study")
     _add_common(p_sp, nx=False)
     p_sp.add_argument("--levels", default="8,16,32",
-                      help="comma-separated grid sizes, coarse to fine")
+                      help="comma-separated grid sizes, each twice the last")
     p_sp.add_argument("--reference", default="64",
-                      help="reference grid size (strict multiple of levels)")
+                      help="reference grid size (k times the last, k > 1)")
 
     p_tm = sub.add_parser("study-temporal", help="time step refinement study")
     _add_common(p_tm, dt=False)
     p_tm.add_argument("--levels", default="1/20,1/40,1/80",
-                      help="comma-separated time steps, coarse to fine")
+                      help="comma-separated time steps, each half the last")
     p_tm.add_argument("--reference", default="1/160",
-                      help="reference time step (finest)")
+                      help="reference time step (below the last level)")
 
     sub.add_parser("verify-1d", help="reduced-system verification table")
     return parser
