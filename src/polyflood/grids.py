@@ -10,6 +10,7 @@ read fields at foot points.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "Grid1", "Grid2", "Field",
-    "interp_linear", "interp_bilinear", "clamp_to_unit",
+    "gradient", "interp_linear", "interp_bilinear", "clamp_to_unit",
     "write_field", "read_field",
 ]
 
@@ -56,6 +57,12 @@ class Grid2:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least two cells per direction")
+        # numpy refuses a float array of more bytes than an intp counts
+        # with a ValueError; a grid whose node arrays are that large is
+        # one too large to allocate
+        if self.nnodes > sys.maxsize // 8:
+            raise MemoryError(f"a {self.nx} x {self.ny} grid has more nodes "
+                              "than a float array can hold")
 
     @property
     def hx(self) -> float:
@@ -130,7 +137,10 @@ class Field:
 
 def _check_unit_range(u, name):
     u = np.asarray(u, dtype=float)
-    if np.any(u < -_RANGE_TOL) or np.any(u > 1.0 + _RANGE_TOL):
+    # fmin and fmax skip NaN, as the comparisons they replace do, and the
+    # initial values let an empty u pass
+    if (np.fmin.reduce(u, axis=None, initial=0.0) < -_RANGE_TOL
+            or np.fmax.reduce(u, axis=None, initial=1.0) > 1.0 + _RANGE_TOL):
         raise ValueError(f"{name} outside [0, 1] beyond round-off")
     return np.clip(u, 0.0, 1.0)
 
@@ -138,6 +148,21 @@ def _check_unit_range(u, name):
 def clamp_to_unit(u):
     """Clamp coordinates onto [0, 1] componentwise."""
     return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+
+
+def gradient(u, h, axis=0):
+    """np.gradient(u, h, axis=axis, edge_order=2) of a float array u with
+    uniform spacing h, bit for bit: numpy's terms in numpy's operation
+    order, without its argument handling.  Central differences inside,
+    one-sided second-order ones at both ends."""
+    out = np.empty_like(u)
+    f, g = u.swapaxes(0, axis), out.swapaxes(0, axis)
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+    g[0] = a * f[0] + b * f[1] + c * f[2]
+    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+    g[-1] = a * f[-3] + b * f[-2] + c * f[-1]
+    return out
 
 
 def interp_linear(grid: Grid1, values: np.ndarray, x):
@@ -148,16 +173,17 @@ def interp_linear(grid: Grid1, values: np.ndarray, x):
 
 def interp_bilinear(grid: Grid2, values: np.ndarray, x, y):
     """Bilinear interpolation of a (ny+1, nx+1) nodal array at points (x, y)."""
-    x = _check_unit_range(x, "interpolation point x")
-    y = _check_unit_range(y, "interpolation point y")
-    ix = np.minimum((x * grid.nx).astype(np.int64), grid.nx - 1)
-    jy = np.minimum((y * grid.ny).astype(np.int64), grid.ny - 1)
-    tx = x * grid.nx - ix
-    ty = y * grid.ny - jy
-    v00 = values[jy, ix]
-    v10 = values[jy, ix + 1]
-    v01 = values[jy + 1, ix]
-    v11 = values[jy + 1, ix + 1]
+    x = _check_unit_range(x, "interpolation point x") * grid.nx
+    y = _check_unit_range(y, "interpolation point y") * grid.ny
+    ix = np.minimum(x.astype(np.int64), grid.nx - 1)
+    jy = np.minimum(y.astype(np.int64), grid.ny - 1)
+    tx = x - ix
+    ty = y - jy
+    # the four corners by flat index; a row holds nx + 1 nodes
+    k = jy * (grid.nx + 1) + ix
+    v00, v10 = values.take(k), values.take(k + 1)
+    k += grid.nx + 1
+    v01, v11 = values.take(k), values.take(k + 1)
     return ((1.0 - ty) * ((1.0 - tx) * v00 + tx * v10)
             + ty * ((1.0 - tx) * v01 + tx * v11))
 

@@ -20,13 +20,14 @@ its neighbours further on in the node order (_UPPER_STEPS).  Sliced, they
 are the rows of the level's DIA matrix (scipy's dia_matvec sums a row in
 a CSR row's order, so the bits are the same) and the coarsest level's
 band.  What depends on the grid shape only is built once per shape and
-cached read-only: the prolongation and restriction, and per coarsening
+cached read-only: the prolongation and restriction, per coarsening
 level the map from its planes to the next level's, read off P's rows with
-exact weights: about 320 bytes per fine node, 245 of them the maps (3.0 MB
-at N = 96).  Per call, five_point fills the finest level's DIA matrix;
-multigrid reads its planes from that matrix's data, applies the maps (one
-sparse product per level) and slices each coarser level's DIA matrix,
-smoother weights and band.
+exact weights (about 320 bytes per fine node, 245 of them the maps: 3.0 MB
+at N = 96), and each level's DIA offsets, which every DIA matrix of the
+level shares (_dia).  Per call, five_point fills the finest level's DIA
+matrix; multigrid reads its planes from that matrix's data, applies the
+maps (one sparse product per level) and slices each coarser level's DIA
+matrix, smoother weights and band.
 """
 
 from __future__ import annotations
@@ -83,6 +84,24 @@ class SparseSystem:
     pure_neumann: bool = False
 
 
+@functools.lru_cache(maxsize=32)
+def _zero_dia(n: int, offsets: tuple) -> sparse.dia_matrix:
+    """The n x n zero DIA matrix on offsets, with read-only offsets."""
+    Z = sparse.dia_matrix((np.zeros((len(offsets), 0)), offsets), shape=(n, n))
+    Z.offsets.flags.writeable = False
+    return Z
+
+
+def _dia(data, offsets: tuple) -> sparse.dia_matrix:
+    """The square DIA matrix of data, one row per offset: built from its
+    structure's cached zero matrix, scipy's constructor shares the offsets
+    checked there, where the (data, offsets) form would check them again
+    and search an index dtype on every call."""
+    A = sparse.dia_matrix(_zero_dia(data.shape[1], offsets))
+    A.data = data
+    return A
+
+
 def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
     """The symmetric operator that couples node k to k + shifts[p] by
     planes[p, k], as a DIA matrix with ascending offsets: its product sums
@@ -97,7 +116,7 @@ def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
         data[offsets.index(-s), :n - s] += plane[:n - s]
         if s:
             data[offsets.index(s), s:] += plane[:n - s]
-    return sparse.dia_matrix((data, offsets), shape=(n, n))
+    return _dia(data, tuple(offsets))
 
 
 def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
@@ -127,8 +146,7 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
     # mass plus the east, west, north and south faces, in that order, which
     # fixes the rounding
     centre[...] = mass - east - west - north - south
-    return sparse.dia_matrix((data.reshape(5, -1), [-w, -1, 0, 1, w]),
-                             shape=(grid.nnodes, grid.nnodes))
+    return _dia(data.reshape(5, -1), (-w, -1, 0, 1, w))
 
 
 def _interpolation_1d(n: int) -> sparse.csr_matrix:

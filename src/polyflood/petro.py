@@ -29,10 +29,12 @@ B^m, B^(2m), mu_a, the mobilities, f, df/ds, df/dc, dpc/ds and D are each
 formed at most once per pair, and only what is read is formed; krw and
 kro are formed when the mobilities read them and are not kept.  Every
 quantity keeps the operation order of its closed form, so a shared value
-is bit-identical to one computed alone.  The PetroModel law methods are
-one-field views of a fresh evaluation.  A transport step evaluates each
-pair it needs once: (s, c) for the saturation feet, df/dc and the well
-term, (sbar, c) for the face diffusion and (s_new, c) for the
+is bit-identical to one computed alone.  A kept quantity is a _field:
+functools.cached_property without the lock that Python 3.11 takes on
+each first read, of which a step makes 48.  The PetroModel law methods
+are one-field views of a fresh evaluation.  A transport step evaluates
+each pair it needs once: (s, c) for the saturation feet, df/dc and the
+well term, (sbar, c) for the face diffusion and (s_new, c) for the
 concentration feet, and drops each evaluation once its fields are taken.
 """
 
@@ -44,6 +46,19 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["PairLaws", "PetroModel"]
+
+
+class _field(cached_property):
+    """cached_property that takes no lock: the value computed on the first
+    read is stored in the instance's __dict__, where later reads find it
+    without calling the descriptor.  An evaluation belongs to one caller,
+    so no two threads compute a field of it at once."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,7 @@ class PairLaws:
         self.c = c
         self.K = K
 
-    @cached_property
+    @_field
     def dse(self):
         """d s_e / d s: 1/(1 - s_ra) inside the clamps, 0 on them."""
         m = self.model
@@ -175,15 +190,15 @@ class PairLaws:
 
     # -- relative permeabilities --------------------------------------------
 
-    @cached_property
+    @_field
     def _B(self):
         return 1.0 - self.se ** (1.0 / self.model.m)
 
-    @cached_property
+    @_field
     def _A(self):
         return 1.0 - self._B ** self.model.m
 
-    @cached_property
+    @_field
     def _B2m(self):
         return self._B ** (2.0 * self.model.m)
 
@@ -200,32 +215,32 @@ class PairLaws:
 
     # -- mobilities and fractional flow --------------------------------------
 
-    @cached_property
+    @_field
     def mu_a(self):
         return self.model.aqueous_viscosity(self.c)
 
-    @cached_property
+    @_field
     def lam_a(self):
         return self.krw / self.mu_a
 
-    @cached_property
+    @_field
     def lam_o(self):
         return self.kro / self.model.mu_o
 
-    @cached_property
+    @_field
     def lam(self):
         """Total mobility lam_a + lam_o."""
         return self.lam_a + self.lam_o
 
-    @cached_property
+    @_field
     def _lam2(self):
         return self.lam ** 2
 
-    @cached_property
+    @_field
     def f(self):
         return self.lam_a / self.lam
 
-    @cached_property
+    @_field
     def df_ds(self):
         # dkrw/dse and dkro/dse are consumed as they are formed, and the
         # s_e roots they share with krw and kro are taken again, which
@@ -241,7 +256,7 @@ class PairLaws:
         del se_pow, root
         return (dlam_a * self.lam_o - self.lam_a * dlam_o) / self._lam2
 
-    @cached_property
+    @_field
     def df_dc(self):
         """Only the aqueous mobility depends on c:
         d lam_a / dc = -lam_a * mu_w * beta / mu_a."""
@@ -251,14 +266,14 @@ class PairLaws:
 
     # -- capillary pressure slope and diffusion -------------------------------
 
-    @cached_property
+    @_field
     def dpc_ds(self):
         m, se = self.model, self.se
         core = (se ** (-1.0 / m.m) - 1.0) ** (-m.m) * se ** (-1.0 / m.m - 1.0)
         dpc_dse = -(1.0 - m.m) / (m.alpha0 * m.m) * core
         return dpc_dse * self.dse
 
-    @cached_property
+    @_field
     def D(self):
         """K lam_o f dpc/ds."""
         return self.K * self.lam_o * self.f * self.dpc_ds

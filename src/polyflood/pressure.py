@@ -175,7 +175,10 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     row = pin + A.offsets
     inside = (row >= 0) & (row < data.shape[1])
     data[inside, row[inside]] = A.offsets[inside] == 0
-    A = sparse.dia_matrix((data, A.offsets), shape=A.shape)
+    # built from A, the copy shares A's checked offsets; the (data, offsets)
+    # form would check them again and search an index dtype
+    A = sparse.dia_matrix(A)
+    A.data = data
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
     M = multigrid(A, grid)

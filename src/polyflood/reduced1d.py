@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import Grid1, clamp_to_unit
+from .grids import Grid1, clamp_to_unit, gradient
 
 __all__ = [
     "Coeffs1D", "step1d", "run1d",
@@ -75,7 +75,7 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
         raise ValueError("positive diffusion coefficient: face weights must "
                          "come from D <= 0")
 
-    dmdx = np.gradient(m, h, edge_order=2)
+    dmdx = gradient(m, h)
     F = coeffs.forcing_s(x, t_new, w, m, dmdx)
 
     n = grid.n
@@ -98,7 +98,7 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     w_new = solve_banded((1, 1), ab, rhs)
 
     # concentration half: new saturation in the drift, pointwise closure
-    dwdx = np.gradient(w_new, h, edge_order=2)
+    dwdx = gradient(w_new, h)
     drift_c = coeffs.advection_c(x, w_new, m, dwdx) * (dt / phi)
     mbar = np.interp(clamp_to_unit(x - drift_c), x, m)
     G = coeffs.reaction_c(x, t_new, w_new)

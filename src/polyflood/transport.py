@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid2, clamp_to_unit, interp_bilinear
+from .grids import Grid2, clamp_to_unit, gradient, interp_bilinear
 from .linsolve import five_point, multigrid, solve_cg
 from .pressure import WellConfig, injection_density
 
@@ -107,8 +107,8 @@ def trace_feet_concentration(state: State, s_new, laws, params: StepParams):
     grid = state.grid
     X, Y = grid.xy
     f, D = laws.f, laws.D
-    dsdx = np.gradient(s_new, grid.hx, axis=1, edge_order=2)
-    dsdy = np.gradient(s_new, grid.hy, axis=0, edge_order=2)
+    dsdx = gradient(s_new, grid.hx, axis=1)
+    dsdy = gradient(s_new, grid.hy, axis=0)
     scale = params.dt / params.phi
     ax = (f / s_new) * state.vx + (D / s_new) * dsdx
     ay = (f / s_new) * state.vy + (D / s_new) * dsdy
@@ -133,8 +133,8 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     laws = model.evaluate(state.s, state.c)
     xbar, ybar = trace_feet_saturation(state, laws, params)
     sbar = interp_bilinear(grid, state.s, xbar.ravel(), ybar.ravel()).reshape(grid.shape)
-    dcdx = np.gradient(state.c, hx, axis=1, edge_order=2)
-    dcdy = np.gradient(state.c, hy, axis=0, edge_order=2)
+    dcdx = gradient(state.c, hx, axis=1)
+    dcdy = gradient(state.c, hy, axis=0)
     rhs_density = (phi / dt) * sbar - laws.df_dc * (state.vx * dcdx + state.vy * dcdy)
     rhs_density += (1.0 - laws.f) * injection_density(grid, params.wells)
     del laws

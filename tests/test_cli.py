@@ -227,6 +227,16 @@ def test_a_grid_too_large_to_allocate_exits_3(error, shown, monkeypatch,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exponent", [20, 40])
+def test_a_grid_too_large_for_an_array_exits_3(exponent, capsys):
+    # N = 10^20 once ended in numpy's "Maximum allowed size exceeded"
+    # ValueError, a traceback and exit 1; the grid now refuses any N whose
+    # node arrays numpy cannot size, before anything is allocated
+    assert cli.main(["run", "--nx", "1" + "0" * exponent, "--tstop", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(cfg):
         raise SolverError("iteration stalled", 0.5, 1000)

@@ -5,7 +5,7 @@ import pytest
 
 from polyflood.grids import (
     Grid1, Grid2, Field,
-    interp_linear, interp_bilinear, clamp_to_unit,
+    gradient, interp_linear, interp_bilinear, clamp_to_unit,
     write_field, read_field,
 )
 
@@ -75,6 +75,31 @@ def test_interp_range_checks():
         interp_linear(g, vals, 1.5)
     # round-off past the boundary is forgiven
     assert interp_linear(g, g.x.copy(), 1.0 + 1e-13) == pytest.approx(1.0)
+    g2, vals2 = Grid2(4, 4), np.zeros((5, 5))
+    # a NaN does not hide a point out of range, in either coordinate
+    for bad in (-0.01, 1.5, [np.nan, 2.0], [2.0, np.nan], [np.nan, -1.0]):
+        with pytest.raises(ValueError):
+            interp_bilinear(g2, vals2, bad, 0.5)
+        with pytest.raises(ValueError):
+            interp_bilinear(g2, vals2, 0.5, bad)
+    assert interp_bilinear(g2, vals2, np.array([]), np.array([])).shape == (0,)
+
+
+def fancy_index_bilinear(grid, values, x, y):
+    """Bilinear interpolation as first written, with 2-D fancy indexing:
+    the bit-for-bit oracle for interp_bilinear."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    y = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
+    ix = np.minimum((x * grid.nx).astype(np.int64), grid.nx - 1)
+    jy = np.minimum((y * grid.ny).astype(np.int64), grid.ny - 1)
+    tx = x * grid.nx - ix
+    ty = y * grid.ny - jy
+    v00 = values[jy, ix]
+    v10 = values[jy, ix + 1]
+    v01 = values[jy + 1, ix]
+    v11 = values[jy + 1, ix + 1]
+    return ((1.0 - ty) * ((1.0 - tx) * v00 + tx * v10)
+            + ty * ((1.0 - tx) * v01 + tx * v11))
 
 
 def test_interp_bilinear_exactness():
@@ -90,6 +115,26 @@ def test_interp_bilinear_exactness():
     vals = 2.0 * X + 3.0 * Y - 1.0 + 0.5 * X * Y
     exact = 2.0 * px + 3.0 * py - 1.0 + 0.5 * px * py
     assert np.allclose(interp_bilinear(g, vals, px, py), exact, rtol=0, atol=1e-14)
+    # bit for bit the fancy-index form, on random points, on x = 1 and
+    # y = 1, and within round-off outside [0, 1], on grids of unequal sides
+    edge = np.array([0.0, 1.0, -1e-12, 1.0 + 1e-12, -5e-13, 1.0 + 5e-13])
+    qx = np.concatenate([px, np.ones(6), edge, rng.uniform(0, 1, 6)])
+    qy = np.concatenate([py, edge, np.ones(6), edge])
+    for g in (Grid2(8, 8), Grid2(5, 9), Grid2(2, 3)):
+        vals = rng.normal(size=g.shape)
+        assert np.array_equal(interp_bilinear(g, vals, qx, qy),
+                              fancy_index_bilinear(g, vals, qx, qy))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 9), (97, 97), (17,)],
+                         ids=["3x3", "5x9", "97x97", "17"])
+def test_gradient_matches_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=shape)
+    for axis in range(len(shape)):
+        for h in (1.0 / (shape[axis] - 1), 0.37):
+            assert np.array_equal(gradient(u, h, axis=axis),
+                                  np.gradient(u, h, axis=axis, edge_order=2))
 
 
 def test_interp_bilinear_peano_ratio():

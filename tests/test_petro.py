@@ -1,10 +1,13 @@
 """Constitutive-law tests: frozen closed-form values, derivative cross-checks,
 and sign/monotonicity sweeps over the full clamped saturation range."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from polyflood import PetroModel
+from polyflood.petro import PairLaws
 
 # classic data set used throughout: 10:1 viscosity contrast, m = 2/3
 MODEL = PetroModel()
@@ -154,6 +157,29 @@ def test_parameter_validation():
         PetroModel(mu_w=0.0)
     with pytest.raises(ValueError):
         PetroModel(alpha0=-1.0)
+
+
+def test_each_field_is_computed_once_per_evaluation(monkeypatch):
+    # a field is formed on its first read and kept by its own evaluation;
+    # read on the class, it is the descriptor with the law's docstring
+    kept = [name for name, attr in vars(PairLaws).items()
+            if isinstance(attr, functools.cached_property)]
+    assert {"dse", "mu_a", "lam", "f", "df_ds", "df_dc", "dpc_ds", "D"} <= set(kept)
+    calls = []
+    viscosity = PetroModel.aqueous_viscosity
+    monkeypatch.setattr(PetroModel, "aqueous_viscosity",
+                        lambda model, c: calls.append(c) or viscosity(model, c))
+    s = np.linspace(0.0, 1.0, 11)
+    laws, other = MODEL.evaluate(s, 0.05), MODEL.evaluate(s, 0.05)
+    for name in kept:
+        first = getattr(laws, name)
+        assert getattr(laws, name) is first and vars(laws)[name] is first
+        assert getattr(other, name) is not first
+        assert np.array_equal(getattr(other, name), first)
+        assert getattr(PairLaws, name) is vars(PairLaws)[name]
+    assert len(calls) == 2  # mu_a, once for each evaluation
+    assert PairLaws.D.__doc__ == "K lam_o f dpc/ds."
+    assert PairLaws.dse.__doc__.startswith("d s_e / d s:")
 
 
 class FrozenLaws:

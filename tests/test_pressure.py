@@ -183,6 +183,8 @@ def test_five_point_rows_do_not_wrap():
         for M in (A, B):
             assert list(M.offsets) == [-w, -1, 0, 1, w]
             assert M.data.shape == (5, g.nnodes)
+            # every matrix of the shape shares them, so none may write them
+            assert not M.offsets.flags.writeable
         assert not np.shares_memory(A.data, B.data)
         # DIA row -s holds A[k + s, k] at column k, row s A[k - s, k]
         east, north = g.node_id(g.nx - 1, g.ny), g.node_id(0, g.ny - 1)
