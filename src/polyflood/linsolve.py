@@ -327,8 +327,10 @@ def solve_cg(A, b, M, tol: float = 1e-10, x0=None):
     """
     b = np.asarray(b, dtype=float)
     n = b.size
-    norm_b = np.linalg.norm(b)
-    if not np.isfinite(norm_b):
+    # 2-norms as sqrt(v @ v), which is linalg.norm's own path for a real
+    # vector, without its wrapper
+    norm_b = math.sqrt(b @ b)
+    if not math.isfinite(norm_b):
         raise SolverError("right-hand side is not finite")
     if norm_b == 0.0:
         return np.zeros(n)
@@ -338,7 +340,7 @@ def solve_cg(A, b, M, tol: float = 1e-10, x0=None):
     z = M(r)
     p = z.copy()
     rz = r @ z
-    res = np.linalg.norm(r) / norm_b
+    res = math.sqrt(r @ r) / norm_b
     if res <= tol:
         return x
 
@@ -350,7 +352,7 @@ def solve_cg(A, b, M, tol: float = 1e-10, x0=None):
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        res = np.linalg.norm(r) / norm_b
+        res = math.sqrt(r @ r) / norm_b
         if res <= tol:
             return x
         z = M(r)

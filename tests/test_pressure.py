@@ -5,6 +5,8 @@ written out longhand here; the solve oracle is dense numpy.linalg.solve on
 the pinned system.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -709,6 +711,16 @@ def test_velocity_recovery_convergence():
         errs_int.append(err[1:-1, 1:-1].max())
     assert 1.7 <= errs_max[0] / errs_max[1] <= 2.3
     assert 3.5 <= errs_int[0] / errs_int[1] <= 4.5
+
+
+@pytest.mark.parametrize("n", [25, 289, 9409])
+def test_cg_norms_are_numpys_norms_bit_for_bit(n):
+    # solve_cg's stopping test takes each 2-norm as sqrt(v @ v); it must
+    # be np.linalg.norm's value, or a solve could stop at another iterate
+    rng = np.random.default_rng(n)
+    for scale in (1e-150, 1.0, 3e150):
+        v = scale * rng.normal(size=n)
+        assert math.sqrt(v @ v) == np.linalg.norm(v)
 
 
 def test_cg_on_spd_matrix():
