@@ -91,9 +91,8 @@ class RunConfig:
             raise ConfigError("threshold must lie in (0, 1)")
 
     def petro(self) -> PetroModel:
-        return PetroModel(mu_w=self.mu_w, mu_o=self.mu_o, s_ra=self.s_ra,
-                          s_ro=self.s_ro, m=self.m, alpha0=self.alpha0,
-                          beta=self.beta)
+        return PetroModel(**{f.name: getattr(self, f.name)
+                             for f in fields(PetroModel)})
 
     def wells(self) -> WellConfig:
         return WellConfig(rate=self.Q, c_injected=self.c0,

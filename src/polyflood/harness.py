@@ -4,8 +4,9 @@ Convergence is measured against the finest-grid run of the study, compared
 at that reference run's breakthrough time: the reference runs first with
 the breakthrough monitor on, then every coarser level is advanced to that
 exact time (final step shortened), and nodal differences are taken on the
-coarse nodes after restriction.  The L2 norm weights each node by its cell
-area, matching the discrete norms of the error analysis.
+coarse nodes after restriction, one per variable (for the velocity v, the
+length of the vector difference).  The L2 norm weights each node by its
+cell area, matching the discrete norms of the error analysis.
 
 Studies emit one CSV with columns
 
@@ -69,20 +70,24 @@ def restrict_to_coarse(fine: np.ndarray, fine_grid: Grid2,
     return fine[::ry, ::rx]
 
 
+def _norms(diff: np.ndarray, *widths: float):
+    """L2 norm (sum of squares times each width in turn) and max of diff."""
+    return (float(np.sqrt(math.prod((np.sum(diff ** 2), *widths)))),
+            float(diff.max()))
+
+
 def error_norms(coarse: np.ndarray, coarse_grid: Grid2,
                 reference: np.ndarray, reference_grid: Grid2):
     """Area-weighted L2 and max difference on the coarse nodes."""
     diff = np.abs(coarse - restrict_to_coarse(reference, reference_grid,
                                               coarse_grid))
-    e2 = float(np.sqrt(np.sum(diff ** 2) * coarse_grid.hx * coarse_grid.hy))
-    return e2, float(diff.max())
+    return _norms(diff, coarse_grid.hx, coarse_grid.hy)
 
 
 def error_norms_1d(grid: Grid1, values: np.ndarray, exact):
     """h-weighted L2 and max difference against an array of exact values."""
-    diff = np.abs(np.asarray(values, dtype=float)
-                  - np.asarray(exact, dtype=float))
-    return float(np.sqrt(np.sum(diff ** 2) * grid.h)), float(diff.max())
+    return _norms(np.abs(np.asarray(values, dtype=float)
+                         - np.asarray(exact, dtype=float)), grid.h)
 
 
 def observed_order(e_coarse: float, e_fine: float) -> float:
@@ -142,11 +147,21 @@ def _timed_run(cfg: RunConfig, **kw):
     return result, time.perf_counter() - tic
 
 
-def _run_study(study: RefinementStudy, errors) -> list[ErrorRecord]:
+def _difference(var: str, state, ref) -> np.ndarray:
+    """|u - u_ref| of variable var on state's nodes, the reference
+    restricted to them; for v, the length of (vx, vy)'s difference."""
+    def minus_ref(name):
+        return getattr(state, name) - restrict_to_coarse(
+            getattr(ref, name), ref.grid, state.grid)
+    if var == "v":
+        return np.hypot(minus_ref("vx"), minus_ref("vy"))
+    return np.abs(minus_ref(var))
+
+
+def _run_study(study: RefinementStudy, variables: str) -> list[ErrorRecord]:
     """Shared driver: reference run, t*, the level loop and the orders.
 
-    errors(state, ref_state) maps each recorded variable to its (e2, emax)
-    pair at one level.
+    One row per level and variable, grouped by variable in their order.
     """
     vary, cast = ("N", int) if study.mode == "spatial" else ("dt", float)
     ref, _ = _timed_run(replace(study.base, out="",
@@ -155,54 +170,38 @@ def _run_study(study: RefinementStudy, errors) -> list[ErrorRecord]:
     if t_star is None:
         t_star = ref.summary.final_time
 
-    per_var: dict[str, list[ErrorRecord]] = {}
+    per_var: dict[str, list[ErrorRecord]] = {var: [] for var in variables}
     for level in study.levels:
         cfg = replace(study.base, out="", **{vary: cast(level)})
         result, wall = _timed_run(cfg, stop_at_breakthrough=False, t_end=t_star)
-        for var, (e2, emax) in errors(result.state, ref.state).items():
-            per_var.setdefault(var, []).append(ErrorRecord(
-                var, result.state.grid.hx, cfg.dt, e2, emax, time=wall))
+        grid = result.state.grid
+        for var, rows in per_var.items():
+            e2, emax = _norms(_difference(var, result.state, ref.state),
+                              grid.hx, grid.hy)
+            rows.append(ErrorRecord(var, grid.hx, cfg.dt, e2, emax, time=wall))
 
     def order(coarse, fine):  # undefined when an error is exactly 0
         return None if 0.0 in (coarse, fine) else observed_order(coarse, fine)
 
-    records = []
     for rows in per_var.values():
-        for k, row in enumerate(rows):
-            if k > 0:
-                row.order2 = order(rows[k - 1].e2, row.e2)
-                row.orderinf = order(rows[k - 1].emax, row.emax)
-            records.append(row)
-    return records
+        for prev, row in zip(rows, rows[1:]):
+            row.order2 = order(prev.e2, row.e2)
+            row.orderinf = order(prev.emax, row.emax)
+    return [row for rows in per_var.values() for row in rows]
 
 
 def run_spatial_study(study: RefinementStudy) -> list[ErrorRecord]:
     """Errors and orders for s, p, and velocity under grid refinement."""
     if study.mode != "spatial":
         raise ConfigError("run_spatial_study wants a spatial-mode study")
-
-    def errors(state, ref):
-        grid = state.grid
-        out = {var: error_norms(getattr(state, var), grid,
-                                getattr(ref, var), ref.grid)
-               for var in ("s", "p")}
-        # velocity: norms of the pointwise vector difference
-        dvx = state.vx - restrict_to_coarse(ref.vx, ref.grid, grid)
-        dvy = state.vy - restrict_to_coarse(ref.vy, ref.grid, grid)
-        dmag = np.hypot(dvx, dvy)
-        e2 = float(np.sqrt(np.sum(dmag ** 2) * grid.hx * grid.hy))
-        out["v"] = (e2, float(dmag.max()))
-        return out
-
-    return _run_study(study, errors)
+    return _run_study(study, "spv")
 
 
 def run_temporal_study(study: RefinementStudy) -> list[ErrorRecord]:
     """Saturation errors and rates under time-step refinement at fixed h."""
     if study.mode != "temporal":
         raise ConfigError("run_temporal_study wants a temporal-mode study")
-    return _run_study(study, lambda state, ref: {
-        "s": error_norms(state.s, state.grid, ref.s, ref.grid)})
+    return _run_study(study, "s")
 
 
 def _fmt(value, spec=".6e"):

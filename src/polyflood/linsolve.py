@@ -1,5 +1,5 @@
-"""Symmetric sparse systems, their 5-point builder, and a preconditioned
-conjugate gradient with a geometric-multigrid V-cycle preconditioner.
+"""Symmetric sparse systems, their 5-point builder and pin, and a
+preconditioned conjugate gradient with a geometric-multigrid V-cycle.
 
 The solver is deliberately hand-rolled: the stopping test is an explicit
 relative residual, iterates are deterministic, and failure raises with the
@@ -41,7 +41,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 __all__ = ["MULTIGRID_MAX_ITER", "SparseSystem", "SolverError", "five_point",
-           "multigrid", "solve_cg"]
+           "pinned", "multigrid", "solve_cg"]
 
 # Coarsening stops once a level has at most COARSEST_NODES nodes, which
 # a banded Cholesky factor then solves exactly; grids up to 16 x 16 cells
@@ -147,6 +147,19 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
     # fixes the rounding
     centre[...] = mass - east - west - north - south
     return _dia(data.reshape(5, -1), (-w, -1, 0, 1, w))
+
+
+def pinned(A, k: int) -> sparse.dia_matrix:
+    """A copy of the DIA matrix A whose equation k reads x_k = b_k: row and
+    column k zeroed, the diagonal 1, A's shape and offsets kept."""
+    # data[d, j] holds A[j - offsets[d], j]: column k is data[:, k] and
+    # row k lies at columns k + offsets, those inside the matrix
+    data = A.data.copy()
+    data[:, k] = 0.0
+    row = k + A.offsets
+    inside = (row >= 0) & (row < data.shape[1])
+    data[inside, row[inside]] = A.offsets[inside] == 0
+    return _dia(data, tuple(A.offsets.tolist()))
 
 
 def _interpolation_1d(n: int) -> sparse.csr_matrix:

@@ -5,7 +5,7 @@ Parker forms, written in terms of the effective water saturation
 
     s_e = (s - s_ra) / (1 - s_ra),  clamped to [eps_sat, 1 - eps_sat],
 
-with exponent 0 < m < 1:
+with exponent 0 < m < 1 and the constant margin eps_sat = 1e-6:
 
     krw(s_e) = s_e^(1/2) * (1 - (1 - s_e^(1/m))^m)^2
     kro(s_e) = (1 - s_e)^(1/2) * (1 - s_e^(1/m))^(2m)
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class PetroModel:
     m: float = 2.0 / 3.0      # van Genuchten exponent, 0 < m < 1
     alpha0: float = 0.125     # capillary pressure scale is 1/alpha0
     beta: float = 15.0        # aqueous thickening slope, mu_a = mu_w (1 + beta c)
-    eps_sat: float = 1e-6     # clamp margin for the effective saturation
+    eps_sat: ClassVar[float] = 1e-6  # effective saturation's clamp margin
 
     def __post_init__(self):
         if not (self.mu_w > 0.0 and self.mu_o > 0.0):
@@ -92,8 +93,6 @@ class PetroModel:
             raise ValueError("alpha0 must be positive")
         if self.beta < 0.0:
             raise ValueError("thickening slope beta must be nonnegative")
-        if not 0.0 < self.eps_sat < 0.5:
-            raise ValueError("eps_sat must lie in (0, 0.5)")
 
     # -- evaluation at one (s, c) pair ----------------------------------------
 

@@ -15,8 +15,8 @@ every grid edge sums the stiffness of its two neighbouring triangles into
 one face coefficient, and the anti-diagonal split couples no diagonal
 neighbours, so the operator is a 5-point one.  It is symmetric positive
 semidefinite with the constant null vector; the solve pins the pressure to
-zero at the production corner, in place, and runs multigrid-preconditioned
-conjugate gradients on the pinned system.
+zero at the production corner (linsolve.pinned) and runs multigrid-
+preconditioned conjugate gradients on the pinned system.
 
 The total velocity v = -K lam grad p is recovered from the P1 solution
 triangle by triangle and averaged to nodes, which is the field the
@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Grid2
-from .linsolve import SparseSystem, five_point, multigrid, solve_cg
+from .linsolve import SparseSystem, five_point, multigrid, pinned, solve_cg
 
 __all__ = ["WellConfig", "injection_density", "assemble_pressure",
            "solve_pressure", "recover_velocity"]
@@ -161,24 +160,12 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     """Solve the gauged system; returns nodal pressure of shape (ny+1, nx+1).
 
     The production corner is pinned to zero, which removes the constant
-    null space and fixes the gauge every caller shares.  The pin stays in
-    place, on a copy of the matrix's DIA values: that node's row and
-    column are zeroed, its diagonal set to 1 and its right-hand side to 0,
-    so the system keeps the grid's shape for the multigrid preconditioner.
+    null space and fixes the gauge every caller shares: on a copy of the
+    matrix (linsolve.pinned) that node's equation becomes p = 0, so the
+    system keeps the grid's shape for the multigrid preconditioner.
     """
     pin = grid.node_id(grid.nx, grid.ny)
-    A = system.matrix.todia()
-    # DIA data[d, k] holds A[k - offsets[d], k]: column pin is data[:, pin]
-    # and row pin lies at columns pin + offsets, those inside the matrix
-    data = A.data.copy()
-    data[:, pin] = 0.0
-    row = pin + A.offsets
-    inside = (row >= 0) & (row < data.shape[1])
-    data[inside, row[inside]] = A.offsets[inside] == 0
-    # built from A, the copy shares A's checked offsets; the (data, offsets)
-    # form would check them again and search an index dtype
-    A = sparse.dia_matrix(A)
-    A.data = data
+    A = pinned(system.matrix, pin)
     b = np.array(system.rhs, dtype=float)
     b[pin] = 0.0
     M = multigrid(A, grid)

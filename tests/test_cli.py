@@ -3,7 +3,7 @@ study CSV output, and the verification battery."""
 
 import random
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -36,6 +36,19 @@ def test_config_file_feeds_the_run(tmp_path, capsys):
 
 def test_run_config_defaults_are_the_petro_defaults():
     assert RunConfig().petro() == PetroModel()
+
+
+def test_every_petro_field_is_a_config_key_that_reaches_the_model(tmp_path):
+    names = [f.name for f in fields(PetroModel)]
+    assert set(names) <= {f.name for f in fields(RunConfig)}
+    values = {"mu_w": 2.0, "mu_o": 7.5, "s_ra": 0.15, "s_ro": 0.25,
+              "m": 0.5, "alpha0": 0.25, "beta": 3.0}
+    assert sorted(values) == sorted(names)
+    assert all(values[n] != getattr(PetroModel(), n) for n in names)
+    path = tmp_path / "laws.cfg"
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in values.items()))
+    assert parse_config(path).petro() == PetroModel(**values)
 
 
 def test_flag_overrides_beat_the_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from polyflood.harness import (
     restrict_to_coarse, error_norms, error_norms_1d, observed_order,
     write_records_csv, format_records,
 )
+from polyflood.simulate import run_simulation
 
 
 def test_restriction_picks_shared_nodes():
@@ -95,6 +96,28 @@ def test_a_study_with_zero_errors_leaves_its_orders_undefined():
     for r in records:
         assert r.e2 == r.emax == 0.0
         assert r.order2 is None and r.orderinf is None
+
+
+def test_velocity_rows_are_the_norms_of_the_vector_difference():
+    base = replace(STUDY_BASE, tstop=0.06)
+    records = run_spatial_study(RefinementStudy("spatial", (2, 4), 8, base))
+    # grouped s, p, v, each group coarse to fine
+    assert [(r.variable, r.h) for r in records] == [
+        (var, h) for var in "spv" for h in (0.5, 0.25)]
+    ref = run_simulation(replace(base, N=8))
+    t_star = ref.summary.breakthrough_time or ref.summary.final_time
+    for row, n in zip(records[4:], (2, 4)):
+        state = run_simulation(replace(base, N=n), stop_at_breakthrough=False,
+                               t_end=t_star).state
+        r = 8 // n
+        dmag = np.hypot(state.vx - ref.state.vx[::r, ::r],
+                        state.vy - ref.state.vy[::r, ::r])
+        e2 = float(np.sqrt(np.sum(dmag ** 2) * state.grid.hx * state.grid.hy))
+        assert e2 > 0.0
+        assert (row.e2, row.emax) == (e2, float(dmag.max()))
+    coarse, fine = records[4:]
+    assert fine.order2 == observed_order(coarse.e2, fine.e2)
+    assert fine.orderinf == observed_order(coarse.emax, fine.emax)
 
 
 def test_study_validation():

@@ -2,6 +2,7 @@
 and sign/monotonicity sweeps over the full clamped saturation range."""
 
 import functools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -157,6 +158,14 @@ def test_parameter_validation():
         PetroModel(mu_w=0.0)
     with pytest.raises(ValueError):
         PetroModel(alpha0=-1.0)
+
+
+def test_the_clamp_margin_is_a_constant_not_a_parameter():
+    with pytest.raises(TypeError):
+        PetroModel(eps_sat=0.1)
+    # the acceptance gate reads it off an instance
+    assert PetroModel.eps_sat == PetroModel().eps_sat == 1e-6
+    assert "eps_sat" not in {f.name for f in fields(PetroModel)}
 
 
 def test_each_field_is_computed_once_per_evaluation(monkeypatch):

@@ -15,7 +15,7 @@ import polyflood.linsolve
 from polyflood import PetroModel
 from polyflood.grids import Grid2
 from polyflood.linsolve import (MULTIGRID_MAX_ITER, SparseSystem, SolverError,
-                                five_point, multigrid, solve_cg)
+                                five_point, multigrid, pinned, solve_cg)
 from polyflood.pressure import (
     WellConfig, _well_sources, assemble_pressure, injection_density,
     solve_pressure, recover_velocity,
@@ -320,6 +320,49 @@ def test_solve_matches_dense_oracle(g):
     # the pin is applied to copies; the caller's system is untouched
     assert np.array_equal(sys.matrix.toarray(), A)
     assert np.array_equal(sys.rhs, rhs)
+
+
+def inline_pin(A, pin):
+    """The pin as solve_pressure once wrote it out in place, kept as the
+    reference that linsolve.pinned must match bit for bit."""
+    A = A.todia()
+    data = A.data.copy()
+    data[:, pin] = 0.0
+    row = pin + A.offsets
+    inside = (row >= 0) & (row < data.shape[1])
+    data[inside, row[inside]] = A.offsets[inside] == 0
+    A = sparse.dia_matrix(A)
+    A.data = data
+    return A
+
+
+@pytest.mark.parametrize("node", ["last", "interior", "first"])
+@pytest.mark.parametrize("g", [Grid2(3, 3), Grid2(5, 7), Grid2(40, 23)],
+                         ids=["3x3", "5x7", "40x23"])
+def test_pinned_matches_the_inline_pin(g, node):
+    # random faces, some exactly 0; the pin is generic in its node, so an
+    # interior one and the first, whose row reaches below offset 0, as well
+    # as the production corner solve_pressure pins
+    rng = np.random.default_rng(13)
+    fx = rng.uniform(0.1, 10.0, (g.ny + 1, g.nx))
+    fy = rng.uniform(0.1, 10.0, (g.ny, g.nx + 1))
+    fx[rng.random(fx.shape) < 0.2] = 0.0
+    fy[rng.random(fy.shape) < 0.2] = 0.0
+    A = five_point(g, fx, fy)
+    data, offsets = A.data.copy(), A.offsets.copy()
+    k = {"last": g.nnodes - 1, "first": 0,
+         "interior": g.node_id(g.nx // 2, g.ny // 2)}[node]
+    got, want = pinned(A, k), inline_pin(A, k)
+    assert got.data.dtype == want.data.dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.offsets.tobytes() == want.offsets.tobytes()
+    assert got.toarray().tobytes() == want.toarray().tobytes()
+    assert got.toarray()[k].tolist() == [float(j == k)
+                                         for j in range(g.nnodes)]
+    # A is untouched, and the copy shares the read-only cached offsets
+    assert A.data.tobytes() == data.tobytes()
+    assert A.offsets.tobytes() == offsets.tobytes()
+    assert not got.offsets.flags.writeable
 
 
 def test_zero_rhs_gives_zero_pressure():
