@@ -156,9 +156,9 @@ def pinned(A, k: int) -> sparse.dia_matrix:
     # row k lies at columns k + offsets, those inside the matrix
     data = A.data.copy()
     data[:, k] = 0.0
-    row = k + A.offsets
-    inside = (row >= 0) & (row < data.shape[1])
-    data[inside, row[inside]] = A.offsets[inside] == 0
+    cols = k + A.offsets
+    inside = (cols >= 0) & (cols < data.shape[1])
+    data[inside, cols[inside]] = A.offsets[inside] == 0
     return _dia(data, tuple(A.offsets.tolist()))
 
 
