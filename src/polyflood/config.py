@@ -83,9 +83,9 @@ class RunConfig:
             self.wells()
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if not model.s_ra <= self.s0 <= 1.0 - model.s_ro:
-            raise ConfigError("s0 must lie in the mobile range "
-                              f"[{model.s_ra}, {1.0 - model.s_ro}]")
+        lo, hi = model.mobile_range
+        if not lo <= self.s0 <= hi:
+            raise ConfigError(f"s0 must lie in the mobile range [{lo}, {hi}]")
         thr = self.breakthrough_threshold
         if not 0.0 < thr < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")

@@ -6,7 +6,9 @@ the breakthrough monitor on, then every coarser level is advanced to that
 exact time (final step shortened), and nodal differences are taken on the
 coarse nodes after restriction, one per variable (for the velocity v, the
 length of the vector difference).  The L2 norm weights each node by its
-cell area, matching the discrete norms of the error analysis.
+cell area, matching the discrete norms of the error analysis.  A study
+variable's error has one path: _difference forms it and _norms, which
+error_norms_1d shares, takes its L2/max pair.
 
 Studies emit one CSV with columns
 
@@ -40,7 +42,7 @@ STUDY_BASE = RunConfig(tstop=0.4, Q=1.0, well_radius=0.2)
 
 __all__ = [
     "STUDY_BASE", "ErrorRecord", "RefinementStudy",
-    "restrict_to_coarse", "error_norms", "error_norms_1d", "observed_order",
+    "restrict_to_coarse", "error_norms_1d", "observed_order",
     "run_spatial_study", "run_temporal_study",
     "write_records_csv", "format_records", "verify_1d",
 ]
@@ -74,14 +76,6 @@ def _norms(diff: np.ndarray, *widths: float):
     """L2 norm (sum of squares times each width in turn) and max of diff."""
     return (float(np.sqrt(math.prod((np.sum(diff ** 2), *widths)))),
             float(diff.max()))
-
-
-def error_norms(coarse: np.ndarray, coarse_grid: Grid2,
-                reference: np.ndarray, reference_grid: Grid2):
-    """Area-weighted L2 and max difference on the coarse nodes."""
-    diff = np.abs(coarse - restrict_to_coarse(reference, reference_grid,
-                                              coarse_grid))
-    return _norms(diff, coarse_grid.hx, coarse_grid.hy)
 
 
 def error_norms_1d(grid: Grid1, values: np.ndarray, exact):
@@ -141,12 +135,6 @@ class RefinementStudy:
                               "level (in space, a multiple of it)")
 
 
-def _timed_run(cfg: RunConfig, **kw):
-    tic = time.perf_counter()
-    result = run_simulation(cfg, **kw)
-    return result, time.perf_counter() - tic
-
-
 def _difference(var: str, state, ref) -> np.ndarray:
     """|u - u_ref| of variable var on state's nodes, the reference
     restricted to them; for v, the length of (vx, vy)'s difference."""
@@ -164,8 +152,8 @@ def _run_study(study: RefinementStudy, variables: str) -> list[ErrorRecord]:
     One row per level and variable, grouped by variable in their order.
     """
     vary, cast = ("N", int) if study.mode == "spatial" else ("dt", float)
-    ref, _ = _timed_run(replace(study.base, out="",
-                                **{vary: cast(study.reference)}))
+    ref = run_simulation(replace(study.base, out="",
+                                 **{vary: cast(study.reference)}))
     t_star = ref.summary.breakthrough_time
     if t_star is None:
         t_star = ref.summary.final_time
@@ -173,7 +161,9 @@ def _run_study(study: RefinementStudy, variables: str) -> list[ErrorRecord]:
     per_var: dict[str, list[ErrorRecord]] = {var: [] for var in variables}
     for level in study.levels:
         cfg = replace(study.base, out="", **{vary: cast(level)})
-        result, wall = _timed_run(cfg, stop_at_breakthrough=False, t_end=t_star)
+        tic = time.perf_counter()
+        result = run_simulation(cfg, stop_at_breakthrough=False, t_end=t_star)
+        wall = time.perf_counter() - tic
         grid = result.state.grid
         for var, rows in per_var.items():
             e2, emax = _norms(_difference(var, result.state, ref.state),

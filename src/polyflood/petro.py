@@ -20,7 +20,8 @@ never finite differences.
 
 Everything is vectorised over numpy arrays and clamp-total: any real
 saturation input is first mapped into the clamped effective range, so no
-evaluation can leave the domain of the root/power expressions.
+evaluation can leave the domain of the root/power expressions.  The raw
+saturation's mobile range [s_ra, 1 - s_ro] is PetroModel.mobile_range.
 
 The laws have one home, PairLaws.  PetroModel.evaluate(s, c, K) returns
 the laws at one (s, c) pair.  Each quantity is computed on first read
@@ -93,6 +94,12 @@ class PetroModel:
             raise ValueError("alpha0 must be positive")
         if self.beta < 0.0:
             raise ValueError("thickening slope beta must be nonnegative")
+
+    @property
+    def mobile_range(self) -> tuple[float, float]:
+        """(s_ra, 1 - s_ro): transport clamps to it, a flood starts at its
+        top, s0 lies in it and the run summary counts its hits."""
+        return self.s_ra, 1.0 - self.s_ro
 
     # -- evaluation at one (s, c) pair ----------------------------------------
 

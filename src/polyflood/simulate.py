@@ -3,8 +3,10 @@
 Each step solves pressure from the current (s, c) fields, recovers the
 total velocity, and only then forms the transport coefficients against
 that fresh velocity, so saturation and concentration always advect along
-the just-computed flow.  The loop runs until the production corner exceeds
-the breakthrough threshold or the stop time arrives, whichever is first.
+the just-computed flow; every stage reads K, the wells and dt from the
+one StepParams that run_simulation builds per step.  The loop runs until
+the production corner exceeds the breakthrough threshold or the stop time
+arrives, whichever is first.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class RunSummary:
         self.s_max = max(self.s_max, float(state.s.max()))
         self.c_min = min(self.c_min, float(state.c.min()))
         self.c_max = max(self.c_max, float(state.c.max()))
-        self.s_clamp_hits += int(np.count_nonzero(
-            (state.s == model.s_ra) | (state.s == 1.0 - model.s_ro)))
+        lo, hi = model.mobile_range
+        self.s_clamp_hits += int(np.count_nonzero((state.s == lo) | (state.s == hi)))
         self.c_clamp_hits += int(np.count_nonzero(state.c == 0.0))
 
 
@@ -61,21 +63,22 @@ class RunResult:
 def init_state(cfg: RunConfig) -> State:
     """Flooded quarter disc about the injection corner, resident elsewhere.
 
-    Nodes with |x| <= radius start at (1 - s_ro, c0); the rest of the
-    domain sits at (s0, 0).  Pressure and velocity are zero until the
-    first solve.
+    Nodes with |x| <= radius start at (1 - s_ro, c0), the top of the
+    mobile range; the rest of the domain sits at (s0, 0).  Pressure and
+    velocity are zero until the first solve.
     """
     grid = Grid2(cfg.N, cfg.N)
     X, Y = grid.xy
     inside = np.hypot(X, Y) <= cfg.radius
-    s = np.where(inside, 1.0 - cfg.s_ro, cfg.s0)
+    s = np.where(inside, cfg.petro().mobile_range[1], cfg.s0)
     c = np.where(inside, cfg.c0, 0.0)
-    return State.quiescent(grid, s, c)
+    return State(grid, 0.0, s, c, *np.zeros((3, *grid.shape)))  # p, vx, vy
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def advance(state: State, cfg: RunConfig, model, wells, dt: float) -> State:
-    """One full step: pressure solve, velocity recovery, both transports.
+def advance(state: State, model, params: StepParams) -> State:
+    """One full step: pressure solve, velocity recovery, both transports,
+    every stage with the K, wells and dt of params.
 
     Floating-point overflow, division by zero and invalid operations raise
     FloatingPointError where they happen, so a step that would make an inf
@@ -84,16 +87,15 @@ def advance(state: State, cfg: RunConfig, model, wells, dt: float) -> State:
     grid = state.grid
     # the pressure system is dropped once solved, before transport builds
     # its own system and multigrid hierarchy
-    system = assemble_pressure(grid, state.s, state.c, model, wells, K=cfg.K)
+    system = assemble_pressure(grid, state.s, state.c, model, params.wells, K=params.K)
     p = solve_pressure(system, grid, x0=state.p)
     del system
-    vx, vy = recover_velocity(grid, p, state.s, state.c, model, K=cfg.K)
+    vx, vy = recover_velocity(grid, p, state.s, state.c, model, K=params.K)
 
     flow = State(grid, state.t, state.s, state.c, p, vx, vy)
-    params = StepParams(dt=dt, phi=cfg.phi, K=cfg.K, wells=wells)
     s_new = saturation_step(flow, model, params)
     c_new = concentration_step(flow, s_new, model, params)
-    return State(grid, state.t + dt, s_new, c_new, p, vx, vy)
+    return State(grid, state.t + params.dt, s_new, c_new, p, vx, vy)
 
 
 def _dump(state: State, out_dir: Path, step: int) -> list:
@@ -141,9 +143,9 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
             dumps += _dump(state, out_dir, summary.steps)
         if last:
             break
-        dt = min(cfg.dt, t_final - state.t)
+        params = StepParams(min(cfg.dt, t_final - state.t), cfg.phi, cfg.K, wells)
         try:
-            state = advance(state, cfg, model, wells, dt)
+            state = advance(state, model, params)
         except Exception as err:
             if out_dir is not None:
                 _dump(state, out_dir, summary.steps)

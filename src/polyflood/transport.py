@@ -23,7 +23,7 @@ corner node's control area hx*hy/4 by default, or the smooth distributed
 bump when the well carries a positive radius, scaled by the usual
 fractional-flow factors either way.  Over the node control areas either
 density injects Q, the rate the pressure load injects.  After every
-update saturation is clamped to its mobile range [s_ra, 1 - s_ro] and
+update saturation is clamped to the model's mobile_range [s_ra, 1 - s_ro] and
 concentration to [0, max(c, c_injected)].
 """
 
@@ -63,11 +63,6 @@ class State:
                 raise ValueError(f"{name} has shape {arr.shape}, "
                                  f"grid wants {self.grid.shape}")
             setattr(self, name, arr)
-
-    @classmethod
-    def quiescent(cls, grid: Grid2, s, c) -> "State":
-        z = np.zeros(grid.shape)
-        return cls(grid, 0.0, s, c, z.copy(), z.copy(), z.copy())
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     M = multigrid(A, grid)
     s_new = solve_cg(A, rhs, M, tol=params.lin_tol,
                      x0=state.s.ravel()).reshape(grid.shape)
-    return np.clip(s_new, model.s_ra, 1.0 - model.s_ro)
+    return np.clip(s_new, *model.mobile_range)
 
 
 def concentration_step(state: State, s_new, model, params: StepParams) -> np.ndarray:

@@ -10,11 +10,12 @@ import pytest
 from polyflood.config import ConfigError, RunConfig
 from polyflood.grids import Grid1, Grid2
 from polyflood.harness import (
-    STUDY_BASE, ErrorRecord, RefinementStudy, run_spatial_study,
-    restrict_to_coarse, error_norms, error_norms_1d, observed_order,
+    STUDY_BASE, ErrorRecord, RefinementStudy, _difference, _norms,
+    run_spatial_study, restrict_to_coarse, error_norms_1d, observed_order,
     write_records_csv, format_records,
 )
 from polyflood.simulate import run_simulation
+from polyflood.transport import State
 
 
 def test_restriction_picks_shared_nodes():
@@ -32,35 +33,54 @@ def test_restriction_rejects_non_nested():
         restrict_to_coarse(np.zeros((7, 7)), Grid2(6, 6), Grid2(4, 4))
 
 
-def test_error_norms_identical_fields_vanish():
+def _state(grid, **fields):
+    """A State on grid with the named fields set and the others 0."""
+    zero = np.zeros(grid.shape)
+    return State(grid, 0.0, *(fields.get(name, zero)
+                              for name in ("s", "c", "p", "vx", "vy")))
+
+
+def _study_error(var, state, ref):
+    """A study's (e2, emax) of variable var: its one path, as _run_study."""
+    return _norms(_difference(var, state, ref), state.grid.hx, state.grid.hy)
+
+
+def test_study_errors_of_identical_fields_vanish():
     g, G = Grid2(4, 4), Grid2(8, 8)
     vals = np.random.default_rng(3).normal(size=G.shape)
-    e2, emax = error_norms(restrict_to_coarse(vals, G, g), g, vals, G)
-    assert e2 == 0.0 and emax == 0.0
+    for var in "sp":
+        ref = _state(G, **{var: vals})
+        state = _state(g, **{var: restrict_to_coarse(vals, G, g)})
+        e2, emax = _study_error(var, state, ref)
+        assert e2 == 0.0 and emax == 0.0, var
 
 
-def test_error_norms_constant_offset_closed_form():
+def test_study_error_of_a_constant_offset_closed_form():
     # |d| at every node: e2 = d * sqrt(n_nodes * hx * hy), emax = d
     g = Grid2(4, 4)
     d = 0.37
-    e2, emax = error_norms(np.zeros(g.shape) + d, g, np.zeros(g.shape), g)
-    assert np.isclose(e2, d * 1.25, rtol=1e-14)  # sqrt(25/16) = 5/4
-    assert emax == d
+    zero = _state(g)
+    for var in "sp":
+        e2, emax = _study_error(var, _state(g, **{var: np.full(g.shape, d)}), zero)
+        assert np.isclose(e2, d * 1.25, rtol=1e-14)  # sqrt(25/16) = 5/4
+        assert emax == d
 
-    # scaling the difference scales both norms linearly
-    e2b, emaxb = error_norms(np.zeros(g.shape) + 2 * d, g, np.zeros(g.shape), g)
-    assert np.isclose(e2b, 2 * e2, rtol=1e-14) and emaxb == 2 * emax
+        # scaling the difference scales both norms linearly
+        e2b, emaxb = _study_error(var, _state(g, **{var: np.full(g.shape, 2 * d)}),
+                                  zero)
+        assert np.isclose(e2b, 2 * e2, rtol=1e-14) and emaxb == 2 * emax
 
 
-def test_error_norms_triangle_inequality():
-    g = Grid2(6, 6)
+def test_study_errors_obey_the_triangle_inequality():
+    g = Grid2(8, 8)
     rng = np.random.default_rng(5)
-    a, b, z = (rng.normal(size=g.shape) for _ in range(3))
-    ab = error_norms(a, g, b, g)
-    az = error_norms(a, g, z, g)
-    zb = error_norms(z, g, b, g)
-    assert ab[0] <= az[0] + zb[0] + 1e-14
-    assert ab[1] <= az[1] + zb[1] + 1e-14
+    for var in "sp":
+        a, b, z = (_state(g, **{var: rng.normal(size=g.shape)}) for _ in range(3))
+        ab = _study_error(var, a, b)
+        az = _study_error(var, a, z)
+        zb = _study_error(var, z, b)
+        assert ab[0] <= az[0] + zb[0] + 1e-14, var
+        assert ab[1] <= az[1] + zb[1] + 1e-14, var
 
 
 def test_error_norms_1d_callable_and_array():

@@ -8,9 +8,14 @@ import pytest
 import polyflood.linsolve
 import polyflood.pressure
 import polyflood.transport
-from polyflood.config import RunConfig
+from polyflood.config import ConfigError, RunConfig
+from polyflood.grids import Grid2
 from polyflood.linsolve import SolverError
-from polyflood.simulate import init_state, run_simulation
+from polyflood.petro import PetroModel
+from polyflood.pressure import (WellConfig, assemble_pressure, recover_velocity,
+                                solve_pressure)
+from polyflood.simulate import RunSummary, advance, init_state, run_simulation
+from polyflood.transport import State, StepParams, concentration_step, saturation_step
 
 
 def test_initial_state_values():
@@ -32,6 +37,59 @@ def test_initial_disc_radius_extremes():
 
     full = init_state(RunConfig(N=8, radius=np.sqrt(2.0)))
     assert np.all(full.s == 0.8) and np.all(full.c == 0.1)
+
+
+def test_every_reader_of_the_mobile_range_agrees():
+    # off the defaults [0.1, 0.8], so a reader that restates them fails
+    model = PetroModel(s_ra=0.15, s_ro=0.25)
+    lo, hi = model.mobile_range
+    assert (lo, hi) == (0.15, 0.75)
+
+    # the transport clamp: no flow, no wells and no capillary diffusion
+    # outside the range leave each node where it was, then the clamp
+    g = Grid2(8, 8)
+    X, _ = g.xy
+    zero = np.zeros(g.shape)
+    below = X < 0.5
+    flat = State(g, 0.0, np.where(below, 0.05, 0.95), zero, zero, zero, zero)
+    s_new = saturation_step(flat, model, StepParams(dt=0.1))
+    assert np.all(s_new[below] == lo) and np.all(s_new[~below] == hi)
+
+    # the summary's clamp count: exactly the nodes on either bound
+    s = np.tile([lo, hi, 0.1, 0.8, 0.5, lo, 0.3, 0.2, hi], (9, 1))
+    summary = RunSummary()
+    summary.observe(State(g, 0.0, s, zero, zero, zero, zero), model)
+    assert summary.s_clamp_hits == 4 * 9
+
+    # the flooded initial value and the config's s0 check
+    cfg = RunConfig(N=8, s_ra=0.15, s_ro=0.25)
+    assert np.all(init_state(cfg).s[0, :2] == hi)
+    with pytest.raises(ConfigError, match=r"mobile range \[0\.15, 0\.75\]"):
+        RunConfig(s_ra=0.15, s_ro=0.25, s0=0.8)
+
+
+def test_advance_takes_k_and_the_wells_from_params():
+    # every stage sees the K, wells and dt of one StepParams: three steps
+    # equal, bit for bit, the five stage functions called by hand
+    model = PetroModel()
+    params = StepParams(dt=0.05, phi=0.8, K=2.5, wells=WellConfig(1.0, 0.1, 0.2))
+    state = expected = init_state(RunConfig(N=12))
+    for _ in range(3):
+        state = advance(state, model, params)
+
+        g, s, c = expected.grid, expected.s, expected.c
+        system = assemble_pressure(g, s, c, model, params.wells, K=params.K)
+        p = solve_pressure(system, g, x0=expected.p)
+        vx, vy = recover_velocity(g, p, s, c, model, K=params.K)
+        flow = State(g, expected.t, s, c, p, vx, vy)
+        s_new = saturation_step(flow, model, params)
+        c_new = concentration_step(flow, s_new, model, params)
+        expected = State(g, expected.t + params.dt, s_new, c_new, p, vx, vy)
+
+        assert state.t == expected.t
+        for name in ("s", "c", "p", "vx", "vy"):
+            assert np.array_equal(getattr(state, name), getattr(expected, name)), name
+    assert np.any(expected.vx != 0.0) and expected.c[0, 0] > 0.0
 
 
 def test_zero_duration_run_returns_initial_state():
