@@ -48,7 +48,7 @@ def _cmd_run(args) -> int:
     result = run_simulation(cfg)
     s = result.summary
     bt = "-" if s.breakthrough_time is None else f"{s.breakthrough_time:.6g}"
-    print(f"steps {s.steps}  t_final {s.final_time:.6g}  breakthrough {bt}")
+    print(f"steps {s.steps}  t_final {result.state.t:.6g}  breakthrough {bt}")
     print(f"s range [{s.s_min:.6g}, {s.s_max:.6g}]  "
           f"c range [{s.c_min:.6g}, {s.c_max:.6g}]")
     print(f"clamp hits  s {s.s_clamp_hits}  c {s.c_clamp_hits}")

@@ -1,12 +1,12 @@
 """Refinement harness: norms, observed orders, the two studies, verify_1d.
 
 Convergence is measured against the finest-grid run of the study, compared
-at that reference run's breakthrough time: the reference runs first with
-the breakthrough monitor on, then every coarser level is advanced to that
-exact time (final step shortened), and nodal differences are taken on the
-coarse nodes after restriction, one per variable (for the velocity v, the
-length of the vector difference).  The L2 norm weights each node by its
-cell area, matching the discrete norms of the error analysis.  A study
+at the time t* its final state holds: it runs first and stops at
+breakthrough, or at its tstop without one; then each coarser level runs
+with tstop = t* (final step shortened), and nodal differences are taken
+on the coarse nodes after restriction, one per variable (for the velocity
+v, the length of the vector difference).  The L2 norm weights each node by
+its cell area, matching the discrete norms of the error analysis.  A study
 variable's error has one path: _difference forms it and _norms, which
 error_norms_1d shares, takes its L2/max pair.
 
@@ -147,22 +147,20 @@ def _difference(var: str, state, ref) -> np.ndarray:
 
 
 def _run_study(study: RefinementStudy, variables: str) -> list[ErrorRecord]:
-    """Shared driver: reference run, t*, the level loop and the orders.
+    """Shared driver: reference run, the levels run to its end, the orders.
 
     One row per level and variable, grouped by variable in their order.
     """
     vary, cast = ("N", int) if study.mode == "spatial" else ("dt", float)
     ref = run_simulation(replace(study.base, out="",
                                  **{vary: cast(study.reference)}))
-    t_star = ref.summary.breakthrough_time
-    if t_star is None:
-        t_star = ref.summary.final_time
 
     per_var: dict[str, list[ErrorRecord]] = {var: [] for var in variables}
     for level in study.levels:
-        cfg = replace(study.base, out="", **{vary: cast(level)})
+        cfg = replace(study.base, out="", tstop=ref.state.t,
+                      **{vary: cast(level)})
         tic = time.perf_counter()
-        result = run_simulation(cfg, stop_at_breakthrough=False, t_end=t_star)
+        result = run_simulation(cfg, stop_at_breakthrough=False)
         wall = time.perf_counter() - tic
         grid = result.state.grid
         for var, rows in per_var.items():

@@ -4,9 +4,10 @@ Each step solves pressure from the current (s, c) fields, recovers the
 total velocity, and only then forms the transport coefficients against
 that fresh velocity, so saturation and concentration always advect along
 the just-computed flow; every stage reads K, the wells and dt from the
-one StepParams that run_simulation builds per step.  The loop runs until
-the production corner exceeds the breakthrough threshold or the stop time
-arrives, whichever is first.
+one StepParams that run_simulation builds per step.  A run ends at
+cfg.tstop, its last step shortened to land on it, or at breakthrough of
+the production corner if that comes first and stop_at_breakthrough is
+set; its final state's t says when it ended.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ _TIME_EPS = 1e-12
 
 @dataclass
 class RunSummary:
-    """Aggregate diagnostics of one run; clamp counters are node-step counts
-    of values sitting exactly on their clamp bounds after each update."""
+    """Aggregate diagnostics of one run; the clamp counters sum, over every
+    observed state, the initial one included, the nodes exactly on a bound:
+    s at either end of the mobile range, c at 0 only."""
 
     steps: int = 0
-    final_time: float = 0.0
     breakthrough_time: float | None = None
     s_min: float = math.inf
     s_max: float = -math.inf
@@ -107,21 +108,19 @@ def _dump(state: State, out_dir: Path, step: int) -> list:
     return paths
 
 
-def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
-                   t_end: float | None = None) -> RunResult:
+def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True) -> RunResult:
     """March the coupled system from the initial state.
 
     Each state, the initial one included, passes one point of the loop:
     it is observed, records breakthrough if it is the first whose
     production corner exceeds the threshold, and is dumped if it is the
-    last or dump_every divides its step count.  Studies pass t_end and
-    stop_at_breakthrough=False to land on an exact common time, shortening
-    the last step.  Failures dump the last consistent state before
-    propagating; a step that fails a numerical check raises SolverError.
+    last or dump_every divides its step count.  Studies set tstop and
+    stop_at_breakthrough=False to land every level on one common time.
+    Failures dump the last consistent state before propagating; a step
+    that fails a numerical check raises SolverError.
     """
     model = cfg.petro()
     wells = cfg.wells()
-    t_final = cfg.tstop if t_end is None else t_end
 
     state = init_state(cfg)
     summary = RunSummary()
@@ -136,14 +135,14 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
         if summary.breakthrough_time is None \
                 and state.s[-1, -1] > cfg.breakthrough_threshold:
             summary.breakthrough_time = state.t
-        last = (state.t >= t_final - _TIME_EPS * max(1.0, t_final)
+        last = (state.t >= cfg.tstop - _TIME_EPS * max(1.0, cfg.tstop)
                 or stop_at_breakthrough and summary.breakthrough_time is not None)
         if out_dir is not None and (last or cfg.dump_every > 0
                                     and summary.steps % cfg.dump_every == 0):
             dumps += _dump(state, out_dir, summary.steps)
         if last:
             break
-        params = StepParams(min(cfg.dt, t_final - state.t), cfg.phi, cfg.K, wells)
+        params = StepParams(min(cfg.dt, cfg.tstop - state.t), cfg.phi, cfg.K, wells)
         try:
             state = advance(state, model, params)
         except Exception as err:
@@ -162,5 +161,4 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True,
             raise
         summary.steps += 1
 
-    summary.final_time = state.t
     return RunResult(state, summary, dumps)

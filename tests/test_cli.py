@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import pytest
 
 from polyflood import PetroModel, cli, harness
-from polyflood.config import ConfigError, RunConfig, parse_config
+from polyflood.config import ConfigError, RunConfig, parse_config, parse_number
 from polyflood.grids import Grid2, read_field
 from polyflood.harness import STUDY_BASE
 from polyflood.linsolve import SolverError
@@ -187,6 +187,20 @@ def test_a_value_outside_its_range_is_a_config_error(key, value, tmp_path,
     assert cli.main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_a_line_without_an_equals_sign_names_its_path_and_line(tmp_path):
+    cfg = tmp_path / "flood.cfg"
+    cfg.write_text("N 8\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == f"{cfg}:1: expected 'key = value'"
+
+
+def test_a_fraction_that_is_no_number_is_a_config_error():
+    for text in ("1/0", "a/2"):
+        with pytest.raises(ConfigError, match=f"expected a number, got '{text}'"):
+            parse_number(text)
 
 
 def test_an_unknown_override_key_is_a_config_error():

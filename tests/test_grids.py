@@ -198,3 +198,15 @@ def test_dump_writes_shortest_round_trip_floats(tmp_path):
     assert np.array_equal(back.data, data)
     assert np.signbit(back.data[0, 0])
     assert back.data[1, 0] == 0.1 + 0.2
+
+
+def test_read_field_refuses_a_dump_without_header_or_of_the_wrong_shape(tmp_path):
+    p = tmp_path / "s_000000.txt"
+    p.write_text("0.0 0.0 0.0\n0.0 0.0 0.0\n0.0 0.0 0.0\n")
+    with pytest.raises(ValueError, match="missing field header line"):
+        read_field(p)
+    # a 2 x 2 grid has 3 x 3 nodes
+    p.write_text("# 2 2 0.0 s\n0.0 0.0 0.0\n0.0 0.0 0.0\n")
+    with pytest.raises(ValueError, match=r"dump body \(2, 3\) does not match "
+                                         r"header grid \(3, 3\)"):
+        read_field(p)

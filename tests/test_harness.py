@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from polyflood import harness
 from polyflood.config import ConfigError, RunConfig
 from polyflood.grids import Grid1, Grid2
 from polyflood.harness import (
     STUDY_BASE, ErrorRecord, RefinementStudy, _difference, _norms,
-    run_spatial_study, restrict_to_coarse, error_norms_1d, observed_order,
-    write_records_csv, format_records,
+    run_spatial_study, run_temporal_study, restrict_to_coarse, error_norms_1d,
+    observed_order, write_records_csv, format_records,
 )
 from polyflood.simulate import run_simulation
 from polyflood.transport import State
@@ -125,10 +126,9 @@ def test_velocity_rows_are_the_norms_of_the_vector_difference():
     assert [(r.variable, r.h) for r in records] == [
         (var, h) for var in "spv" for h in (0.5, 0.25)]
     ref = run_simulation(replace(base, N=8))
-    t_star = ref.summary.breakthrough_time or ref.summary.final_time
     for row, n in zip(records[4:], (2, 4)):
-        state = run_simulation(replace(base, N=n), stop_at_breakthrough=False,
-                               t_end=t_star).state
+        state = run_simulation(replace(base, N=n, tstop=ref.state.t),
+                               stop_at_breakthrough=False).state
         r = 8 // n
         dmag = np.hypot(state.vx - ref.state.vx[::r, ::r],
                         state.vy - ref.state.vy[::r, ::r])
@@ -138,6 +138,35 @@ def test_velocity_rows_are_the_norms_of_the_vector_difference():
     coarse, fine = records[4:]
     assert fine.order2 == observed_order(coarse.e2, fine.e2)
     assert fine.orderinf == observed_order(coarse.emax, fine.emax)
+
+
+@pytest.mark.parametrize("base, breaks_through", [
+    (replace(STUDY_BASE, tstop=0.06), False),
+    (RunConfig(dt=0.02, tstop=5.0, Q=4.0), True)])
+def test_each_level_runs_to_the_time_the_reference_ended(base, breaks_through,
+                                                        monkeypatch):
+    calls = []
+
+    def recording_run(cfg, stop_at_breakthrough=True):
+        result = run_simulation(cfg, stop_at_breakthrough)
+        calls.append((cfg, stop_at_breakthrough, result))
+        return result
+
+    monkeypatch.setattr(harness, "run_simulation", recording_run)
+    run_spatial_study(RefinementStudy("spatial", (2, 4), 8, base))
+    (ref_cfg, ref_stops, ref), *levels = calls
+    assert ref_cfg == replace(base, N=8) and ref_stops
+    t_star = ref.state.t
+    bt = ref.summary.breakthrough_time
+    if breaks_through:
+        assert bt is not None and t_star == bt < base.tstop
+    else:
+        assert bt is None and t_star == pytest.approx(base.tstop, abs=1e-12)
+    assert [cfg.N for cfg, _, _ in levels] == [2, 4]
+    for cfg, stops, result in levels:
+        assert cfg.tstop == t_star and not stops
+        assert cfg == replace(base, N=cfg.N, tstop=t_star)
+        assert result.state.t == pytest.approx(t_star, abs=1e-12)
 
 
 def test_study_validation():
@@ -159,6 +188,18 @@ def test_study_validation():
         RefinementStudy("temporal", (0.025, 0.05), 0.0125, base)  # ascending
     with pytest.raises(ConfigError):
         RefinementStudy("temporal", (0.05, 0.025), 0.025, base)  # not finer
+
+
+def test_each_study_runner_refuses_a_study_of_the_other_mode():
+    base = RunConfig(N=8, tstop=0.0)
+    spatial = RefinementStudy("spatial", (2, 4), 8, base)
+    temporal = RefinementStudy("temporal", (0.05, 0.025), 0.0125, base)
+    with pytest.raises(ConfigError, match="run_spatial_study wants a "
+                                          "spatial-mode study"):
+        run_spatial_study(temporal)
+    with pytest.raises(ConfigError, match="run_temporal_study wants a "
+                                          "temporal-mode study"):
+        run_temporal_study(spatial)
 
 
 def test_a_ladder_that_does_not_halve_is_refused():

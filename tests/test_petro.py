@@ -158,6 +158,13 @@ def test_parameter_validation():
         PetroModel(mu_w=0.0)
     with pytest.raises(ValueError):
         PetroModel(alpha0=-1.0)
+    for residuals in ({"s_ro": 1.0}, {"s_ra": -0.1}):
+        with pytest.raises(ValueError, match=r"residual saturations must "
+                                             r"lie in \[0, 1\)"):
+            PetroModel(**residuals)
+    with pytest.raises(ValueError, match="thickening slope beta must be "
+                                         "nonnegative"):
+        PetroModel(beta=-1.0)
 
 
 def test_the_clamp_margin_is_a_constant_not_a_parameter():

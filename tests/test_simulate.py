@@ -2,6 +2,8 @@
 loop must leave untouched, determinism of dumps, and coarse-grid physics
 sanity (bounds, monotone flood growth, breakthrough bookkeeping)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,8 +98,28 @@ def test_zero_duration_run_returns_initial_state():
     cfg = RunConfig(N=8, tstop=0.0)
     result = run_simulation(cfg)
     assert result.summary.steps == 0
-    assert result.summary.final_time == 0.0
+    assert result.state.t == 0.0
     assert np.array_equal(result.state.s, init_state(cfg).s)
+
+
+def test_clamp_counters_sum_every_observed_state_the_initial_one_included():
+    cfg = RunConfig(N=8, dt=0.05, tstop=0.0)
+    lo, hi = cfg.petro().mobile_range
+
+    def on_bounds(state):  # s at either end of the mobile range, c at 0 only
+        return (np.count_nonzero((state.s == lo) | (state.s == hi)),
+                np.count_nonzero(state.c == 0.0))
+
+    initial = on_bounds(init_state(cfg))
+    summary = run_simulation(cfg).summary
+    assert summary.steps == 0
+    assert (summary.s_clamp_hits, summary.c_clamp_hits) == initial == (13, 68)
+    # one step later, the counters hold both states' nodes
+    result = run_simulation(replace(cfg, tstop=0.05))
+    assert result.summary.steps == 1
+    after = on_bounds(result.state)
+    assert (result.summary.s_clamp_hits, result.summary.c_clamp_hits) == (
+        initial[0] + after[0], initial[1] + after[1])
 
 
 def test_uniform_state_without_wells_is_a_fixed_point():
@@ -130,8 +152,8 @@ def test_flooded_region_grows_monotonically():
 
 def test_fixed_end_time_is_hit_exactly():
     cfg = RunConfig(N=8, dt=0.03, tstop=1.0)
-    result = run_simulation(cfg, stop_at_breakthrough=False, t_end=0.1)
-    assert np.isclose(result.summary.final_time, 0.1, rtol=0, atol=1e-12)
+    result = run_simulation(replace(cfg, tstop=0.1), stop_at_breakthrough=False)
+    assert np.isclose(result.state.t, 0.1, rtol=0, atol=1e-12)
     assert result.summary.steps == 4            # 3 full steps + shortened
 
 
@@ -141,7 +163,7 @@ def test_breakthrough_stops_the_loop():
     result = run_simulation(cfg)
     bt = result.summary.breakthrough_time
     assert bt is not None and bt < 1.0
-    assert result.summary.final_time == bt
+    assert result.state.t == bt
     assert result.state.s[-1, -1] > cfg.breakthrough_threshold
 
 
