@@ -5,22 +5,22 @@ boundary, so an nx-by-ny grid carries (nx+1)*(ny+1) nodes.  Two-dimensional
 fields are stored as arrays of shape (ny+1, nx+1) indexed [j, i], row j
 holding the nodes at height y_j.  Interpolation is piecewise linear
 (bilinear on the square), which is what the characteristic tracing uses to
-read fields at foot points.
+read fields at foot points.  write_field alone states the dump format.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "Grid1", "Grid2", "Field",
+    "Grid1", "Grid2",
     "gradient", "interp_linear", "interp_bilinear", "clamp_to_unit",
-    "write_field", "read_field",
+    "write_field",
 ]
 
 # slack for "point inside [0, 1]" checks; anything worse is a caller bug,
@@ -118,23 +118,6 @@ class Grid2:
         return areas
 
 
-@dataclass
-class Field:
-    """Nodal scalar field bound to its grid."""
-
-    grid: Grid2
-    data: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.data.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("field contains non-finite values")
-
-
 def _check_unit_range(u, name):
     u = np.asarray(u, dtype=float)
     # fmin and fmax skip NaN, as the comparisons they replace do, and the
@@ -188,30 +171,19 @@ def interp_bilinear(grid: Grid2, values: np.ndarray, x, y):
             + ty * ((1.0 - tx) * v01 + tx * v11))
 
 
-def write_field(path, fld: Field, time: float) -> None:
-    """Dump a 2-D field as text: header '# nx ny time label', one grid row
-    per line, x-ordered values, y increasing downward through the file.
+def write_field(path, grid: Grid2, values, time: float, label: str) -> None:
+    """Dump a grid's nodal values as text: header '# nx ny time label', one
+    grid row per line, x-ordered values, y increasing downward through the file.
 
     Floats are written in shortest round-trip form, so identical states
-    produce byte-identical files and reads recover values exactly.
+    produce byte-identical files and np.loadtxt(path) recovers them exactly.
+    A wrong shape or a non-finite value raises ValueError and writes nothing.
     """
-    grid = fld.grid
-    lines = [f"# {grid.nx} {grid.ny} {float(time)!r} {fld.label}".rstrip()]
-    lines += (" ".join(map(repr, row)) for row in fld.data.tolist())
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field contains non-finite values")
+    lines = [f"# {grid.nx} {grid.ny} {float(time)!r} {label}".rstrip()]
+    lines += (" ".join(map(repr, row)) for row in values.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_field(path):
-    """Read a field dump back; returns (Field, time)."""
-    text = Path(path).read_text().strip().split("\n")
-    header = text[0]
-    if not header.startswith("#"):
-        raise ValueError("missing field header line")
-    parts = header[1:].split()
-    nx, ny, time = int(parts[0]), int(parts[1]), float(parts[2])
-    label = parts[3] if len(parts) > 3 else ""
-    data = np.array([[float(tok) for tok in line.split()] for line in text[1:]])
-    grid = Grid2(nx, ny)
-    if data.shape != grid.shape:
-        raise ValueError(f"dump body {data.shape} does not match header grid {grid.shape}")
-    return Field(grid, data, label), time

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .grids import Field, Grid2, write_field
+from .grids import Grid2, write_field
 from .linsolve import SolverError
 from .pressure import assemble_pressure, recover_velocity, solve_pressure
 from .transport import State, StepParams, concentration_step, saturation_step
@@ -103,7 +103,7 @@ def _dump(state: State, out_dir: Path, step: int) -> list:
     paths = []
     for label in ("s", "c", "p"):
         path = out_dir / f"{label}_{step:06d}.txt"
-        write_field(path, Field(state.grid, getattr(state, label), label), state.t)
+        write_field(path, state.grid, getattr(state, label), state.t, label)
         paths.append(path)
     return paths
 

@@ -29,6 +29,7 @@ concentration to [0, max(c, c_injected)].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,11 @@ class StepParams:
     lin_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("time step must be positive")
-        if self.phi <= 0.0:
-            raise ValueError("porosity must be positive")
+        # written so that NaN fails the test too
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("time step must be positive and finite")
+        if not 0.0 < self.phi < math.inf:
+            raise ValueError("porosity must be positive and finite")
 
 
 def trace_feet_saturation(state: State, laws, params: StepParams):

@@ -5,11 +5,12 @@ import random
 import time
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from polyflood import PetroModel, cli, harness
+from polyflood import PetroModel, cli, harness, simulate
 from polyflood.config import ConfigError, RunConfig, parse_config, parse_number
-from polyflood.grids import Grid2, read_field
+from polyflood.grids import Grid2
 from polyflood.harness import STUDY_BASE
 from polyflood.linsolve import SolverError
 from polyflood.simulate import run_simulation
@@ -294,6 +295,26 @@ def test_numerical_failure_in_a_step_exits_3_with_a_dump(tmp_path, capsys):
     assert info.value.iterations == 1 and info.value.residual > 0.0
 
 
+def test_a_failure_that_is_not_numerical_propagates_after_a_dump(
+        tmp_path, monkeypatch, capsys):
+    # run_simulation dumps the last consistent state and re-raises an
+    # error that is no numerical failure of the step unchanged
+    step = simulate.saturation_step
+    calls = []
+
+    def second_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return step(*args)
+    monkeypatch.setattr(simulate, "saturation_step", second_call_fails)
+    out = tmp_path / "fields"
+    assert cli.main(["run", "--nx", "8", "--tstop", "0.1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 1.00 TiB\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "c_000001.txt", "p_000001.txt", "s_000001.txt"]
+
+
 def test_spatial_study_writes_csv(tmp_path, capsys):
     code = cli.main(["study-spatial", "--levels", "4,8", "--reference", "16",
                      "--dt", "0.05", "--tstop", "0.1",
@@ -446,8 +467,8 @@ def test_extreme_config_ends_in_a_documented_exit(text, tmp_path, capsys):
     dumps = {label: sorted(out.glob(f"{label}_*.txt")) for label in "sc"}
     assert dumps["s"] and len(dumps["s"]) == len(dumps["c"])
     for path in dumps["s"]:
-        s = read_field(path)[0].data
+        s = np.loadtxt(path)
         assert cfg.s_ra <= s.min() and s.max() <= 1.0 - cfg.s_ro, path.name
     for path in dumps["c"]:
-        c = read_field(path)[0].data
+        c = np.loadtxt(path)
         assert 0.0 <= c.min() and c.max() <= cfg.c0, path.name

@@ -170,6 +170,28 @@ def test_two_dimensional_step_degenerates_to_reduced_system():
         t += params.dt
 
 
+@pytest.mark.parametrize("dt, phi, message", [
+    (np.nan, 1.0, "time step"), (np.inf, 1.0, "time step"),
+    (0.02, np.nan, "porosity"), (0.02, np.inf, "porosity")],
+    ids=["dt=nan", "dt=inf", "phi=nan", "phi=inf"])
+def test_step_params_refuse_a_nan_or_infinite_dt_or_phi(dt, phi, message):
+    # an infinite dt would otherwise reach the saturation solve and fail
+    # there as a coarsest level that is not positive definite
+    with pytest.raises(ValueError, match=f"^{message} must be positive and finite$"):
+        StepParams(dt=dt, phi=phi)
+
+
+def test_negative_face_diffusion_is_refused():
+    # K < 0 flips the sign of the capillary diffusion, so the saturation
+    # matrix would lose its M-matrix property
+    g = Grid2(8, 8)
+    X, Y = g.xy
+    state = make_state(g, 0.3 + 0.4 * X * Y, 0.0)
+    with pytest.raises(ValueError,
+                       match="negative face diffusion would break the M-matrix"):
+        saturation_step(state, MODEL, StepParams(dt=0.02, K=-1.0))
+
+
 def test_step_params_validation():
     with pytest.raises(ValueError):
         StepParams(dt=0.0)
