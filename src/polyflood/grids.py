@@ -1,11 +1,11 @@
 """Uniform node-centered grids on the unit interval and unit square.
 
 Nodes sit at the lattice points x_i = i*hx, y_j = j*hy including the
-boundary, so an nx-by-ny grid carries (nx+1)*(ny+1) nodes.  Two-dimensional
-fields are stored as arrays of shape (ny+1, nx+1) indexed [j, i], row j
-holding the nodes at height y_j.  Interpolation is piecewise linear
-(bilinear on the square), which is what the characteristic tracing uses to
-read fields at foot points.  write_field alone states the dump format.
+boundary, so an nx-by-ny grid carries (nx+1)*(ny+1) nodes.  2-D fields
+are stored as arrays of shape (ny+1, nx+1) indexed [j, i], row j holding
+the nodes at height y_j.  Interpolation is piecewise linear (bilinear on
+the square), as the characteristic tracing reads fields at foot points.
+write_field alone states the dump format, time_step how a march ends.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 __all__ = [
     "Grid1", "Grid2",
     "gradient", "interp_linear", "interp_bilinear", "clamp_to_unit",
-    "write_field",
+    "time_step", "write_field",
 ]
 
 # slack for "point inside [0, 1]" checks; anything worse is a caller bug,
@@ -85,17 +85,10 @@ class Grid2:
         return j * (self.nx + 1) + i
 
     @cached_property
-    def x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.nx + 1)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.ny + 1)
-
-    @cached_property
     def xy(self):
         """Meshgrid coordinate arrays (X, Y), each of shape (ny+1, nx+1)."""
-        return np.meshgrid(self.x, self.y)
+        return np.meshgrid(np.linspace(0.0, 1.0, self.nx + 1),
+                           np.linspace(0.0, 1.0, self.ny + 1))
 
     @cached_property
     def trapezoid_weights(self):
@@ -125,7 +118,7 @@ def _check_unit_range(u, name):
     if (np.fmin.reduce(u, axis=None, initial=0.0) < -_RANGE_TOL
             or np.fmax.reduce(u, axis=None, initial=1.0) > 1.0 + _RANGE_TOL):
         raise ValueError(f"{name} outside [0, 1] beyond round-off")
-    return np.clip(u, 0.0, 1.0)
+    return clamp_to_unit(u)
 
 
 def clamp_to_unit(u):
@@ -155,7 +148,7 @@ def interp_linear(grid: Grid1, values: np.ndarray, x):
 
 
 def interp_bilinear(grid: Grid2, values: np.ndarray, x, y):
-    """Bilinear interpolation of a (ny+1, nx+1) nodal array at points (x, y)."""
+    """Bilinear interpolation of nodal values at points (x, y), in their shape."""
     x = _check_unit_range(x, "interpolation point x") * grid.nx
     y = _check_unit_range(y, "interpolation point y") * grid.ny
     ix = np.minimum(x.astype(np.int64), grid.nx - 1)
@@ -169,6 +162,16 @@ def interp_bilinear(grid: Grid2, values: np.ndarray, x, y):
     v01, v11 = values.take(k), values.take(k + 1)
     return ((1.0 - ty) * ((1.0 - tx) * v00 + tx * v10)
             + ty * ((1.0 - tx) * v01 + tx * v11))
+
+
+def time_step(t: float, dt: float, t_end: float) -> float:
+    """The step of a march from t to t_end: dt, the last one shortened to
+    land on t_end, and 0.0 once t is within 1e-12 * max(1, t_end) of it."""
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError("end time must be nonnegative and finite")
+    if not 0.0 < dt < np.inf:  # a zero step would end the march at t
+        raise ValueError("time step must be positive and finite")
+    return 0.0 if t >= t_end - 1e-12 * max(1.0, t_end) else min(dt, t_end - t)
 
 
 def write_field(path, grid: Grid2, values, time: float, label: str) -> None:

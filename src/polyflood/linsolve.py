@@ -327,7 +327,7 @@ def multigrid(A, grid):
     return vcycle
 
 
-def solve_cg(A, b, M, tol: float = 1e-10, x0=None):
+def solve_cg(A, b, M, tol: float, x0=None):
     """Preconditioned conjugate gradient.
 
     M maps a residual to its preconditioned residual and must be symmetric

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import Grid1, clamp_to_unit, gradient
+from .grids import Grid1, clamp_to_unit, gradient, time_step
 
 __all__ = [
     "Coeffs1D", "step1d", "run1d",
@@ -45,7 +45,7 @@ class Coeffs1D:
     reaction_c(x, t, w)           reaction coefficient G
     forcing_c(x, t, w)            right side of the concentration equation
 
-    The porosity phi is a positive constant, checked once here.
+    The porosity phi is a positive finite constant, checked once here.
     """
 
     advection_s: Callable
@@ -57,12 +57,14 @@ class Coeffs1D:
     porosity: float = 1.0
 
     def __post_init__(self):
-        if not self.porosity > 0.0:
-            raise ValueError("porosity must be positive")
+        if not 0.0 < self.porosity < np.inf:
+            raise ValueError("porosity must be positive and finite")
 
 
 def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
-    """Advance (w, m) one step of size dt to time t_new."""
+    """Advance (w, m) one step of size dt, positive and finite, to time t_new."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError("time step must be positive and finite")
     x, h = grid.x, grid.h
     phi = coeffs.porosity
 
@@ -111,13 +113,12 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
 
 
 def run1d(grid: Grid1, coeffs: Coeffs1D, w0, m0, t_end: float, dt: float):
-    """March (w, m) from t = 0 to t_end, shortening the final step to land
-    exactly on t_end.  Returns (w, m, t)."""
+    """March (w, m) from t = 0 to t_end by steps of dt, landed on t_end by
+    grids.time_step.  Returns (w, m, t)."""
     w = np.asarray(w0, dtype=float).copy()
     m = np.asarray(m0, dtype=float).copy()
     t = 0.0
-    while t < t_end - 1e-12 * max(1.0, t_end):
-        step = min(dt, t_end - t)
+    while step := time_step(t, dt, t_end):
         w, m = step1d(grid, w, m, coeffs, step, t + step)
         t += step
     return w, m, t

@@ -5,9 +5,9 @@ total velocity, and only then forms the transport coefficients against
 that fresh velocity, so saturation and concentration always advect along
 the just-computed flow; every stage reads K, the wells and dt from the
 one StepParams that run_simulation builds per step.  A run ends at
-cfg.tstop, its last step shortened to land on it, or at breakthrough of
-the production corner if that comes first and stop_at_breakthrough is
-set; its final state's t says when it ended.
+cfg.tstop, where grids.time_step lands it, or at breakthrough of the
+production corner if that comes first and stop_at_breakthrough is set;
+its final state's t says when it ended.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .grids import Grid2, write_field
+from .grids import Grid2, time_step, write_field
 from .linsolve import SolverError
 from .pressure import assemble_pressure, recover_velocity, solve_pressure
 from .transport import State, StepParams, concentration_step, saturation_step
 
 __all__ = ["RunSummary", "RunResult", "init_state", "advance", "run_simulation"]
-
-_TIME_EPS = 1e-12
 
 
 @dataclass
@@ -135,14 +133,15 @@ def run_simulation(cfg: RunConfig, stop_at_breakthrough: bool = True) -> RunResu
         if summary.breakthrough_time is None \
                 and state.s[-1, -1] > cfg.breakthrough_threshold:
             summary.breakthrough_time = state.t
-        last = (state.t >= cfg.tstop - _TIME_EPS * max(1.0, cfg.tstop)
+        step = time_step(state.t, cfg.dt, cfg.tstop)
+        last = (step == 0.0
                 or stop_at_breakthrough and summary.breakthrough_time is not None)
         if out_dir is not None and (last or cfg.dump_every > 0
                                     and summary.steps % cfg.dump_every == 0):
             dumps += _dump(state, out_dir, summary.steps)
         if last:
             break
-        params = StepParams(min(cfg.dt, cfg.tstop - state.t), cfg.phi, cfg.K, wells)
+        params = StepParams(step, cfg.phi, cfg.K, wells)
         try:
             state = advance(state, model, params)
         except Exception as err:

@@ -68,8 +68,8 @@ class State:
 
 @dataclass(frozen=True)
 class StepParams:
-    """Per-step data shared by the transport updates; the default wells
-    have rate 0, so no source enters."""
+    """Per-step data: pressure and velocity read K and the wells, transport
+    all of it, the saturation solve lin_tol.  Default wells have rate 0."""
 
     dt: float
     phi: float = 1.0
@@ -129,7 +129,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     # dropped once the right-hand side has them
     laws = model.evaluate(state.s, state.c)
     xbar, ybar = trace_feet_saturation(state, laws, params)
-    sbar = interp_bilinear(grid, state.s, xbar.ravel(), ybar.ravel()).reshape(grid.shape)
+    sbar = interp_bilinear(grid, state.s, xbar, ybar)
     dcdx = gradient(state.c, hx, axis=1)
     dcdy = gradient(state.c, hy, axis=0)
     rhs_density = (phi / dt) * sbar - laws.df_dc * (state.vx * dcdx + state.vy * dcdy)
@@ -166,7 +166,7 @@ def concentration_step(state: State, s_new, model, params: StepParams) -> np.nda
 
     xbar, ybar = trace_feet_concentration(
         state, s_new, model.evaluate(s_new, state.c, params.K), params)
-    cbar = interp_bilinear(grid, state.c, xbar.ravel(), ybar.ravel()).reshape(grid.shape)
+    cbar = interp_bilinear(grid, state.c, xbar, ybar)
 
     c_in = params.wells.c_injected
     g = injection_density(grid, params.wells) / s_new

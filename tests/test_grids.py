@@ -1,4 +1,6 @@
-"""Grid, interpolation, and dump-format tests."""
+"""Grid, interpolation, time-step and dump-format tests."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from polyflood.grids import (
     Grid1, Grid2,
     gradient, interp_linear, interp_bilinear, clamp_to_unit,
-    write_field,
+    time_step, write_field,
 )
 
 
@@ -124,6 +126,31 @@ def test_interp_bilinear_exactness():
         vals = rng.normal(size=g.shape)
         assert np.array_equal(interp_bilinear(g, vals, qx, qy),
                               fancy_index_bilinear(g, vals, qx, qy))
+
+
+def test_interp_bilinear_keeps_the_shape_of_its_points():
+    g = Grid2(5, 9)
+    rng = np.random.default_rng(21)
+    vals = rng.normal(size=g.shape)
+    px, py = rng.uniform(0, 1, (2, *g.shape))
+    got = interp_bilinear(g, vals, px, py)
+    assert got.shape == g.shape
+    assert np.array_equal(got.ravel(),
+                          interp_bilinear(g, vals, px.ravel(), py.ravel()))
+
+
+def test_time_step_lands_a_march_on_its_end():
+    assert time_step(0.0, 0.03, 0.1) == 0.03
+    assert time_step(0.09, 0.03, 0.1) == 0.1 - 0.09
+    assert time_step(0.1 - 1e-14, 0.03, 0.1) == 0.0
+    assert time_step(0.0, 0.03, 0.0) == 0.0
+    for t_end in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="end time must be nonnegative"):
+            time_step(0.0, 0.03, t_end)
+    # a zero step would read as the end of the march
+    for dt in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time step must be positive"):
+            time_step(0.0, dt, 0.1)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (5, 9), (97, 97), (17,)],

@@ -441,7 +441,7 @@ def test_multigrid_rejects_broken_matrices(g):
     for bad in (nan_entry, zero_diag, indefinite):
         bad = bad.tocsr()
         with pytest.raises(SolverError) as err:
-            solve_cg(bad, b, multigrid(bad, g))
+            solve_cg(bad, b, multigrid(bad, g), tol=1e-10)
         assert err.value.iterations <= 1
 
     s, c = random_state(g)
@@ -450,6 +450,16 @@ def test_multigrid_rejects_broken_matrices(g):
     with pytest.raises(SolverError) as err:
         solve_pressure(sys, g)
     assert err.value.iterations <= 1
+
+
+def test_multigrid_rejects_an_overflowing_coarsest_level():
+    # every fine diagonal entry is finite, but the Galerkin product sums
+    # about 2.25 of them into each coarse centre, past the largest float
+    g = Grid2(40, 23)
+    A = five_point(g, np.ones((24, 40)), np.ones((23, 41)), mass=1e308)
+    assert np.all(np.isfinite(A.diagonal()))
+    with pytest.raises(SolverError, match="coarsest level not finite"):
+        multigrid(A, g)
 
 
 def multigrid_levels(monkeypatch, solve):
@@ -688,11 +698,11 @@ def test_nonfinite_rhs_raises_at_once():
     bad = b.copy()
     bad[3] = np.nan
     with pytest.raises(SolverError) as err:
-        solve_cg(A, bad, jacobi(A))
+        solve_cg(A, bad, jacobi(A), tol=1e-10)
     assert err.value.iterations <= 1
     # a NaN guess poisons p.Ap, which counts as breakdown
     with pytest.raises(SolverError) as err:
-        solve_cg(A, b, jacobi(A), x0=bad)
+        solve_cg(A, b, jacobi(A), tol=1e-10, x0=bad)
     assert err.value.iterations <= 1
 
 
@@ -774,4 +784,5 @@ def test_cg_on_spd_matrix():
     x_true = rng.normal(size=30)
     x = solve_cg(A, A @ x_true, jacobi(A), tol=1e-12)
     assert np.allclose(x, x_true, rtol=0, atol=1e-9)
-    assert np.array_equal(solve_cg(A, np.zeros(30), jacobi(A)), np.zeros(30))
+    assert np.array_equal(solve_cg(A, np.zeros(30), jacobi(A), tol=1e-10),
+                          np.zeros(30))

@@ -1,12 +1,15 @@
 """Reduced-system tests: exactness cases, residual order checks, and the
 manufactured convergence study."""
 
+import math
+
 import numpy as np
 import pytest
 
+from polyflood import PetroModel
 from polyflood.grids import Grid1
 from polyflood.reduced1d import (
-    Coeffs1D, step1d, run1d, manufactured_problem,
+    Coeffs1D, step1d, run1d, manufactured_problem, physical_coeffs,
     characteristic_derivative_check, diffusion_stencil_check,
 )
 
@@ -87,10 +90,29 @@ def test_bad_reaction_denominator_rejected():
 
 
 
-@pytest.mark.parametrize("phi", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("phi", [0.0, -1.0, float("nan"), math.inf])
 def test_nonpositive_porosity_rejected_at_construction(phi):
     with pytest.raises(ValueError, match="porosity"):
         zero_coeffs(porosity=phi)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+def test_step1d_rejects_a_time_step_outside_zero_to_inf(dt):
+    # refused up front, before a division, the reaction check or the
+    # banded solve can fail on it
+    g = Grid1(8)
+    coeffs = physical_coeffs(PetroModel(), lambda x: np.sin(np.pi * x))
+    w = np.full(9, 0.5)
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        step1d(g, w, w, coeffs, dt=dt, t_new=0.1)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0])
+def test_run1d_rejects_an_end_time_no_march_reaches(t_end):
+    g = Grid1(8)
+    coeffs, w_ex, m_ex = manufactured_problem()
+    with pytest.raises(ValueError, match="end time must be nonnegative and finite"):
+        run1d(g, coeffs, w_ex(g.x, 0.0), m_ex(g.x, 0.0), t_end=t_end, dt=0.1)
 
 def test_run1d_lands_exactly_on_t_end():
     g = Grid1(16)
