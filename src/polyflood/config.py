@@ -10,6 +10,7 @@ parse_number, the one number parser of files and flags alike.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -31,6 +32,9 @@ class RunConfig:
     polymer flood data set.  The injection rate is measured in pore
     volumes per unit time; the default floods a noticeable fraction of the
     domain by t = 1, which keeps desk-scale refinement studies meaningful.
+
+    Built by the constructor, dataclasses.replace or parse_config, it checks
+    each key's type first, then the ranges; a bad value raises ConfigError.
     """
 
     # discretization
@@ -62,6 +66,9 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
+        for key, (kind, wanted) in _KEY_TYPES.items():  # before any comparison
+            if not isinstance(value := getattr(self, key), kind):
+                raise ConfigError(f"config key '{key}' wants {wanted}, got {value!r}")
         if self.N < 2:
             raise ConfigError("N must be at least 2")
         if not 0.0 < self.dt < math.inf:
@@ -103,8 +110,11 @@ class RunConfig:
         return self.threshold if self.threshold >= 0.0 else 1.0 - self.s0
 
 
-# each key's type is that of its default: int, float or str
-_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+# each key's type is that of its default, numpy's scalars included
+_KEY_TYPES = {f.name: {int: (numbers.Integral, "an integer"),
+                       float: (numbers.Real, "a number"),
+                       str: (str, "a string")}[type(f.default)]
+              for f in fields(RunConfig)}
 
 
 def parse_number(text: str):
@@ -130,8 +140,8 @@ def parse_number(text: str):
 def parse_config(path, overrides: dict | None = None,
                  base: RunConfig = RunConfig()) -> RunConfig:
     """Read a UTF-8 config file (optional); apply it, then overrides, to
-    base.  Bad input raises ConfigError; a malformed line, an unknown key
-    or a non-number in the file names its path:line."""
+    base, which checks them; bad input raises ConfigError.  A malformed
+    line, an unknown key or a non-number in the file names its path:line."""
     values: dict = {}
     if path is not None:
         try:
@@ -155,17 +165,13 @@ def parse_config(path, overrides: dict | None = None,
             if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                values[key] = (val.strip() if _KEY_TYPES[key] is str
+                values[key] = (val.strip() if _KEY_TYPES[key][0] is str
                                else parse_number(val))
             except ConfigError as err:
                 raise ConfigError(f"{path}:{lineno}: key '{key}': {err}") from err
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    for key, value in values.items():
+    for key in values:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key '{key}'")
-        kind = _KEY_TYPES[key]
-        if not isinstance(value, (int, float) if kind is float else kind):
-            wanted = {int: "an integer", float: "a number", str: "a string"}[kind]
-            raise ConfigError(f"config key '{key}' wants {wanted}, got {value!r}")
     return replace(base, **values)

@@ -76,7 +76,8 @@ class SparseSystem:
     """A symmetric positive (semi)definite system A x = b in DIA form.
 
     pure_neumann marks the singular case whose null space is the constant
-    vector; such a system must be gauged (one node pinned) before solving.
+    vector; such a system must be gauged (one node pinned) before solving,
+    and pressure.solve_pressure, which pins, refuses any other.
     """
 
     matrix: sparse.dia_matrix

@@ -162,8 +162,11 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     The production corner is pinned to zero, which removes the constant
     null space and fixes the gauge every caller shares: on a copy of the
     matrix (linsolve.pinned) that node's equation becomes p = 0, so the
-    system keeps the grid's shape for the multigrid preconditioner.
+    system keeps the grid's shape for the multigrid preconditioner.  A
+    system that is not pure Neumann raises ValueError.
     """
+    if not system.pure_neumann:
+        raise ValueError("solve_pressure pins a node: it wants a pure-Neumann system")
     pin = grid.node_id(grid.nx, grid.ny)
     A = pinned(system.matrix, pin)
     b = np.array(system.rhs, dtype=float)

@@ -85,18 +85,14 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     rhs = mass * wbar + F
     # rows 1..n-1 couple to both face neighbors; ghost reflection doubles
     # the single face at each wall row
-    main = np.full(n + 1, mass)
-    main[1:-1] += (Dabs[:-1] + Dabs[1:]) / h ** 2
-    main[0] += 2.0 * Dabs[0] / h ** 2
-    main[-1] += 2.0 * Dabs[-1] / h ** 2
-    upper = -Dabs / h ** 2                   # A[i, i+1], i = 0..n-1
-    lower = -Dabs / h ** 2                   # A[i+1, i], i = 0..n-1
-    upper[0] *= 2.0
-    lower[-1] *= 2.0
     ab = np.zeros((3, n + 1))
-    ab[0, 1:] = upper
-    ab[1] = main
-    ab[2, :-1] = lower
+    ab[0, 1:] = ab[2, :-1] = -Dabs / h ** 2   # A[i, i+1] and A[i+1, i]
+    ab[0, 1] *= 2.0
+    ab[2, -2] *= 2.0
+    ab[1] = mass
+    ab[1, 1:-1] += (Dabs[:-1] + Dabs[1:]) / h ** 2
+    ab[1, 0] += 2.0 * Dabs[0] / h ** 2
+    ab[1, -1] += 2.0 * Dabs[-1] / h ** 2
     w_new = solve_banded((1, 1), ab, rhs)
 
     # concentration half: new saturation in the drift, pointwise closure

@@ -103,12 +103,12 @@ def trace_feet_concentration(state: State, s_new, laws, params: StepParams):
     """
     grid = state.grid
     X, Y = grid.xy
-    f, D = laws.f, laws.D
+    f_s, D_s = laws.f / s_new, laws.D / s_new
     dsdx = gradient(s_new, grid.hx, axis=1)
     dsdy = gradient(s_new, grid.hy, axis=0)
     scale = params.dt / params.phi
-    ax = (f / s_new) * state.vx + (D / s_new) * dsdx
-    ay = (f / s_new) * state.vy + (D / s_new) * dsdy
+    ax = f_s * state.vx + D_s * dsdx
+    ay = f_s * state.vy + D_s * dsdy
     return clamp_to_unit(X - scale * ax), clamp_to_unit(Y - scale * ay)
 
 

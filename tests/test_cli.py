@@ -218,6 +218,29 @@ def test_overrides_take_each_keys_type_from_its_default():
     assert (cfg.N, cfg.dt, cfg.out) == (8, 1, "fields")
 
 
+@pytest.mark.parametrize("key, value, wanted", [
+    ("N", 8.5, "an integer"), ("dt", "0.1", "a number"),
+    ("out", 5, "a string"), ("dump_every", 0.5, "an integer")])
+def test_every_way_of_building_a_config_checks_each_keys_type(key, value,
+                                                             wanted, tmp_path):
+    # RunConfig(N=8.5) once built and failed in numpy's linspace, and
+    # RunConfig(dump_every=0.5) dumped every state
+    kw = {"N": 8, "tstop": 0.1, "out": str(tmp_path), key: value}
+    for build in (lambda: RunConfig(**kw), lambda: replace(RunConfig(), **kw),
+                  lambda: parse_config(None, kw)):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == (f"config key '{key}' wants {wanted}, "
+                                   f"got {value!r}")
+    assert not any(tmp_path.iterdir())
+
+
+def test_numpy_scalars_are_numbers_of_their_keys_type():
+    assert RunConfig(N=np.int64(8)).N == 8
+    assert replace(RunConfig(), radius=np.sqrt(2.0)).radius == np.sqrt(2.0)
+    assert parse_config(None, {"N": np.int64(8)}).N == 8
+
+
 
 @pytest.mark.parametrize("argv", [
     ["verify-1d", "--nx", "8"], ["verify-1d", "--config", "x.cfg"],

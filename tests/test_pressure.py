@@ -300,6 +300,17 @@ def test_pinned_system_positive_definite():
     assert eigs.min() > 0.0
 
 
+def test_solve_pressure_refuses_a_system_that_is_not_pure_neumann():
+    # pinning a node of this nonsingular system once returned a pressure
+    # with |Bp - b| = 1.06, without a word
+    g = Grid2(4, 4)
+    s, c = random_state(g, seed=2)
+    B = (assemble_pressure(g, s, c, MODEL).matrix
+         + sparse.identity(g.nnodes)).todia()
+    with pytest.raises(ValueError, match="pure-Neumann"):
+        solve_pressure(SparseSystem(B, np.ones(g.nnodes), pure_neumann=False), g)
+
+
 @pytest.mark.parametrize("g", [Grid2(3, 3), Grid2(5, 7), Grid2(9, 6),
                                Grid2(40, 23)],
                          ids=["3x3", "5x7", "9x6", "40x23"])
