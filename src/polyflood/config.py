@@ -34,7 +34,8 @@ class RunConfig:
     domain by t = 1, which keeps desk-scale refinement studies meaningful.
 
     Built by the constructor, dataclasses.replace or parse_config, it checks
-    each key's type first, then the ranges; a bad value raises ConfigError.
+    each key's type first and stores the value as that Python type, then
+    checks the ranges; a bad value raises ConfigError.
     """
 
     # discretization
@@ -66,9 +67,17 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
-        for key, (kind, wanted) in _KEY_TYPES.items():  # before any comparison
+        for key, (cast, kind, wanted) in _KEY_TYPES.items():  # before any comparison
             if not isinstance(value := getattr(self, key), kind):
                 raise ConfigError(f"config key '{key}' wants {wanted}, got {value!r}")
+            # stored as the default's Python type: a numpy float32 dt would
+            # run the clock and every step's scalars in single precision; an
+            # integer too large for a float is infinite, as in parse_number
+            try:
+                value = cast(value)
+            except OverflowError:
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, key, value)
         if self.N < 2:
             raise ConfigError("N must be at least 2")
         if not 0.0 < self.dt < math.inf:
@@ -77,7 +86,7 @@ class RunConfig:
             raise ConfigError("tstop must be nonnegative and finite")
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, str) and not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite")
         if not (self.phi > 0.0 and self.K > 0.0):
             raise ConfigError("phi and K must be positive")
@@ -110,10 +119,11 @@ class RunConfig:
         return self.threshold if self.threshold >= 0.0 else 1.0 - self.s0
 
 
-# each key's type is that of its default, numpy's scalars included
-_KEY_TYPES = {f.name: {int: (numbers.Integral, "an integer"),
-                       float: (numbers.Real, "a number"),
-                       str: (str, "a string")}[type(f.default)]
+# each key's type is that of its default, which stores the value; the
+# check admits numpy's scalars as well
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
+_KEY_TYPES = {f.name: (type(f.default), *_KINDS[type(f.default)])
               for f in fields(RunConfig)}
 
 

@@ -123,7 +123,7 @@ def _check_unit_range(u, name):
 
 def clamp_to_unit(u):
     """Clamp coordinates onto [0, 1] componentwise."""
-    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    return np.asarray(u, dtype=float).clip(0.0, 1.0)
 
 
 def gradient(u, h, axis=0):
@@ -155,13 +155,13 @@ def interp_bilinear(grid: Grid2, values: np.ndarray, x, y):
     jy = np.minimum(y.astype(np.int64), grid.ny - 1)
     tx = x - ix
     ty = y - jy
+    ux = 1.0 - tx
     # the four corners by flat index; a row holds nx + 1 nodes
     k = jy * (grid.nx + 1) + ix
     v00, v10 = values.take(k), values.take(k + 1)
     k += grid.nx + 1
     v01, v11 = values.take(k), values.take(k + 1)
-    return ((1.0 - ty) * ((1.0 - tx) * v00 + tx * v10)
-            + ty * ((1.0 - tx) * v01 + tx * v11))
+    return (1.0 - ty) * (ux * v00 + tx * v10) + ty * (ux * v01 + tx * v11)
 
 
 def time_step(t: float, dt: float, t_end: float) -> float:

@@ -254,7 +254,7 @@ def _banded_cholesky(planes, shifts) -> np.ndarray:
     ab = np.zeros((max(shifts) + 1, planes.shape[1]))
     for s, plane in zip(shifts, planes):
         ab[s] += plane
-    if not np.all(np.isfinite(ab)):
+    if not np.isfinite(ab).all():
         raise SolverError("coarsest level not finite")
     factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0:
@@ -280,7 +280,7 @@ def multigrid(A, grid):
     """
     A = A.todia()
     data = A.data
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise SolverError("matrix entries not finite")
     nx, ny, points = grid.nx, grid.ny, 5
     n, w = grid.nnodes, nx + 1
@@ -297,7 +297,7 @@ def multigrid(A, grid):
     levels = []
     while (nx + 1) * (ny + 1) > COARSEST_NODES:
         centre = planes[0]
-        if not (np.all(centre > 0.0) and np.all(centre < np.inf)):
+        if not ((centre > 0.0).all() and (centre < np.inf).all()):
             raise SolverError("matrix diagonal not positive and finite")
         op = _stencil_operator(planes, _shifts(nx, points)) if levels else A
         levels.append((op, SMOOTH_OMEGA * (1.0 / centre), *_prolongation(nx, ny)))
@@ -331,8 +331,9 @@ def multigrid(A, grid):
 def solve_cg(A, b, M, tol: float, x0=None):
     """Preconditioned conjugate gradient.
 
-    M maps a residual to its preconditioned residual and must be symmetric
-    positive definite, such as multigrid(A, grid).  Of A only A @ x is
+    M maps a residual to its preconditioned residual, a new array (the
+    residual is updated in place), and must be symmetric positive
+    definite, such as multigrid(A, grid).  Of A only A @ x is
     used.  Stops when ||b - A x||_2 <= tol * ||b||_2; a zero right-hand
     side returns the zero vector.  Raises SolverError at once on a
     non-finite right-hand side, on breakdown (including a NaN curvature
@@ -352,7 +353,7 @@ def solve_cg(A, b, M, tol: float, x0=None):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x
     z = M(r)
-    p = z.copy()
+    p = z  # never written in place
     rz = r @ z
     res = math.sqrt(r @ r) / norm_b
     if res <= tol:

@@ -117,7 +117,7 @@ class PetroModel:
         bounds, so downstream power laws never see a negative base.
         """
         se = (np.asarray(s, dtype=float) - self.s_ra) / (1.0 - self.s_ra)
-        return np.clip(se, self.eps_sat, 1.0 - self.eps_sat)
+        return se.clip(self.eps_sat, 1.0 - self.eps_sat)
 
     def pc(self, se):
         """Capillary pressure.  Requires se already inside the clamped range."""

@@ -122,7 +122,7 @@ def _element_coefficients(grid: Grid2, s, c, model, K):
     tri = np.empty((2, grid.ny, grid.nx))
     tri[0] = (coef[:-1, :-1] + coef[:-1, 1:] + coef[1:, :-1]) / 3.0
     tri[1] = (coef[:-1, 1:] + coef[1:, 1:] + coef[1:, :-1]) / 3.0
-    if np.any(tri <= 0.0) or not np.all(np.isfinite(tri)):
+    if (tri <= 0.0).any() or not np.isfinite(tri).all():
         raise ValueError("element coefficient K*lam must be positive and finite")
     return tri
 
@@ -173,7 +173,7 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     b[pin] = 0.0
     M = multigrid(A, grid)
     p = solve_cg(A, b, M, tol=tol,
-                 x0=None if x0 is None else np.ravel(x0))
+                 x0=None if x0 is None else np.asarray(x0).ravel())
     # the pinned equation is decoupled, so its exact solution is 0 whatever
     # the preconditioner's coarse correction left there
     p[pin] = 0.0
@@ -189,9 +189,9 @@ def recover_velocity(grid: Grid2, p, s, c, model, K=1.0):
     (ny+1, nx+1).
     """
     coef = _element_coefficients(grid, s, c, model, K)
-    p = np.reshape(p, grid.shape)
-    dx = np.diff(p, axis=1) / grid.hx
-    dy = np.diff(p, axis=0) / grid.hy
+    p = np.asarray(p).reshape(grid.shape)
+    dx = (p[:, 1:] - p[:, :-1]) / grid.hx
+    dy = (p[1:] - p[:-1]) / grid.hy
     # per triangle: [vx, vy, 1], so one node sum also counts the triangles
     vals = np.empty((3, 2, grid.ny, grid.nx))
     vals[0, 0], vals[0, 1] = dx[:-1], dx[1:]

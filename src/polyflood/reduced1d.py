@@ -73,7 +73,7 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     wbar = np.interp(clamp_to_unit(x - drift), x, w)
     Dn = np.asarray(coeffs.diffusion(x, wbar, m), dtype=float)
     Dabs = -(Dn[:-1] + Dn[1:]) / 2.0
-    if np.any(Dabs < 0.0):
+    if (Dabs < 0.0).any():
         raise ValueError("positive diffusion coefficient: face weights must "
                          "come from D <= 0")
 
@@ -99,10 +99,10 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
     dwdx = gradient(w_new, h)
     drift_c = coeffs.advection_c(x, w_new, m, dwdx) * (dt / phi)
     mbar = np.interp(clamp_to_unit(x - drift_c), x, m)
-    G = coeffs.reaction_c(x, t_new, w_new)
+    G = np.asarray(coeffs.reaction_c(x, t_new, w_new), dtype=float)
     H = coeffs.forcing_c(x, t_new, w_new)
     denom = phi / dt + G
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise ValueError("nonpositive reaction denominator")
     m_new = ((phi / dt) * mbar + H) / denom
     return w_new, m_new

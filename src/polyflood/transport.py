@@ -140,7 +140,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     Dn = model.evaluate(sbar, state.c, params.K).D
     Dabs_x = -(Dn[:, :-1] + Dn[:, 1:]) / 2.0
     Dabs_y = -(Dn[:-1, :] + Dn[1:, :]) / 2.0
-    if np.any(Dabs_x < 0.0) or np.any(Dabs_y < 0.0):
+    if (Dabs_x < 0.0).any() or (Dabs_y < 0.0).any():
         raise ValueError("negative face diffusion would break the M-matrix")
 
     wx, wy = grid.trapezoid_weights
@@ -156,7 +156,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     M = multigrid(A, grid)
     s_new = solve_cg(A, rhs, M, tol=params.lin_tol,
                      x0=state.s.ravel()).reshape(grid.shape)
-    return np.clip(s_new, *model.mobile_range)
+    return s_new.clip(*model.mobile_range)
 
 
 def concentration_step(state: State, s_new, model, params: StepParams) -> np.ndarray:
@@ -171,7 +171,7 @@ def concentration_step(state: State, s_new, model, params: StepParams) -> np.nda
     c_in = params.wells.c_injected
     g = injection_density(grid, params.wells) / s_new
     denom = phi / dt + g
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise ValueError("nonpositive reaction denominator in concentration update")
     c_new = ((phi / dt) * cbar + c_in * g) / denom
-    return np.clip(c_new, 0.0, max(float(np.max(state.c)), c_in))
+    return c_new.clip(0.0, max(float(state.c.max()), c_in))

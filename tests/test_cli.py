@@ -241,6 +241,29 @@ def test_numpy_scalars_are_numbers_of_their_keys_type():
     assert parse_config(None, {"N": np.int64(8)}).N == 8
 
 
+def test_a_config_stores_numpy_scalars_as_its_keys_python_type():
+    # a float32 dt once ran the clock in single precision: the run ended at
+    # t = np.float32(0.1), with s and p 2.5e-9 and 2.7e-8 off its float twin
+    twin = run_simulation(RunConfig(N=8, tstop=0.1, dt=float(np.float32(0.05))))
+    kw = {"N": np.int64(8), "tstop": np.float64(0.1), "dt": np.float32(0.05),
+          "dump_every": np.uint8(0)}
+    for cfg in (RunConfig(**kw), replace(RunConfig(), **kw)):
+        assert all(type(getattr(cfg, f.name)) is type(f.default)
+                   for f in fields(cfg))
+        state = run_simulation(cfg).state
+        assert type(state.t) is float and state.t == twin.state.t
+        for name in ("s", "c", "p", "vx", "vy"):
+            assert np.array_equal(getattr(state, name), getattr(twin.state, name))
+
+
+def test_an_integer_too_large_for_a_float_is_an_infinite_number():
+    # as parse_number reads it; float(10**400) once raised OverflowError
+    with pytest.raises(ConfigError, match="tstop must be nonnegative and finite"):
+        RunConfig(tstop=10 ** 400)
+    with pytest.raises(ConfigError, match="Q must be finite"):
+        RunConfig(Q=-10 ** 400)
+
+
 
 @pytest.mark.parametrize("argv", [
     ["verify-1d", "--nx", "8"], ["verify-1d", "--config", "x.cfg"],

@@ -183,6 +183,18 @@ def test_clamp_to_unit():
     assert np.array_equal(clamp_to_unit(pts), [0.0, 0.25, 1.0])
 
 
+def test_clamp_to_unit_keeps_np_clips_bits():
+    # clamp_to_unit calls ndarray.clip, the method np.clip ends in;
+    # np.minimum(np.maximum(u, 0.0), 1.0) would turn -0.0 into 0.0
+    u = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -0.3, 1.7, 0.25, 1.0,
+                  -5e-324, 1.0 + 1e-16])
+    for pts in (u, u.reshape(1, -1), list(u)):
+        assert np.array_equal(clamp_to_unit(pts).view(np.uint64),
+                              np.clip(u, 0.0, 1.0).reshape(np.shape(pts))
+                              .view(np.uint64))
+    assert math.copysign(1.0, clamp_to_unit(-0.0)) == -1.0
+
+
 def test_field_validation(tmp_path):
     g = Grid2(4, 4)
     p = tmp_path / "s_000000.txt"

@@ -26,6 +26,18 @@ def test_effective_saturation_mapping():
     assert np.all(np.isfinite(m.effective_saturation(np.linspace(-10, 10, 101))))
 
 
+@pytest.mark.parametrize("s_ra", [PetroModel.s_ra, 0.0])
+def test_effective_saturation_keeps_np_clips_bits(s_ra):
+    # the clamp calls ndarray.clip, the method np.clip ends in; its bounds
+    # are eps_sat away from 0 and 1, so no signed zero can reach them
+    m = PetroModel(s_ra=s_ra)
+    s = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -5.0, 37.0, s_ra, 0.21,
+                  1.0, s_ra + 1e-7, 1.0 - 1e-7])
+    expected = np.clip((s - s_ra) / (1.0 - s_ra), m.eps_sat, 1.0 - m.eps_sat)
+    assert np.array_equal(m.effective_saturation(s).view(np.uint64),
+                          expected.view(np.uint64))
+
+
 def test_relperm_frozen_values():
     # high-precision evaluation of the closed forms at s_e = 0.25 and 0.5
     assert np.isclose(MODEL.krw(0.25), 0.0036272687257172366, rtol=1e-12)

@@ -288,6 +288,10 @@ def test_coefficient_positivity_enforced():
         assemble_pressure(g, s, c, MODEL, K=0.0)
     with pytest.raises(ValueError):
         assemble_pressure(g, s, c, MODEL, K=-1.0)
+    # a NaN passes every comparison, so the finiteness check must catch it
+    for K in (np.nan, np.where(s > 0.5, np.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            assemble_pressure(g, s, c, MODEL, K=K)
 
 
 def test_pinned_system_positive_definite():
