@@ -27,7 +27,9 @@ at N = 96), and each level's DIA offsets, which every DIA matrix of the
 level shares (_dia).  Per call, five_point fills the finest level's DIA
 matrix; multigrid reads its planes from that matrix's data, applies the
 maps (one sparse product per level) and slices each coarser level's DIA
-matrix, smoother weights and band.
+matrix, smoother weights and band.  Every product of the hierarchy, the
+maps' too, is one call of the compiled kernel that scipy's A @ x ends in,
+on the arrays the level already holds (_matvec).
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+# the compiled products that scipy's A @ x ends in, for a DIA or a CSR A;
+# private, so tests/test_pressure.py checks their bits against A @ x
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 __all__ = ["MULTIGRID_MAX_ITER", "SparseSystem", "SolverError", "five_point",
            "pinned", "multigrid", "solve_cg"]
@@ -103,6 +108,37 @@ def _dia(data, offsets: tuple) -> sparse.dia_matrix:
     return A
 
 
+def _matvec(M):
+    """x -> M @ x for a float64 DIA or CSR matrix M and a float64 vector
+    x, as one call of the compiled kernel that M @ x ends in (dia_matvec
+    or csr_matvec) on M's own arrays into a zero-filled output: the same
+    bits, without the Python dispatch that leads there.  The kernels do
+    not check x's length: in the V-cycle, wdinv * r refuses a residual of
+    another length, and every other vector is a product of the right one."""
+    rows, cols = M.shape
+    if M.format == "dia":
+        kernel = functools.partial(dia_matvec, rows, cols, len(M.offsets),
+                                   M.data.shape[1], M.offsets, M.data)
+    else:
+        kernel = functools.partial(csr_matvec, rows, cols, M.indptr,
+                                   M.indices, M.data)
+
+    def product(x):
+        y = np.zeros(rows)
+        kernel(x, y)
+        return y
+    return product
+
+
+@functools.lru_cache(maxsize=32)
+def _stencil_rows(shifts: tuple):
+    """The ascending DIA offsets of the symmetric stencil of shifts, and
+    for each shift s the rows of offsets -s and +s."""
+    offsets = sorted({*shifts, *(-s for s in shifts)})
+    return tuple(offsets), tuple((offsets.index(-s), offsets.index(s))
+                                 for s in shifts)
+
+
 def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
     """The symmetric operator that couples node k to k + shifts[p] by
     planes[p, k], as a DIA matrix with ascending offsets: its product sums
@@ -110,14 +146,14 @@ def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
     On a grid one cell wide the east and north-west couplings share an
     offset, and never a node, so they add."""
     n = planes.shape[1]
-    offsets = sorted({*shifts, *(-s for s in shifts)})
+    offsets, rows = _stencil_rows(shifts)
     data = np.zeros((len(offsets), n))
-    for s, plane in zip(shifts, planes):
+    for s, (below, above), plane in zip(shifts, rows, planes):
         # row -s holds A[j + s, j] at column j, row +s holds A[j - s, j]
-        data[offsets.index(-s), :n - s] += plane[:n - s]
+        data[below, :n - s] += plane[:n - s]
         if s:
-            data[offsets.index(s), s:] += plane[:n - s]
-    return _dia(data, tuple(offsets))
+            data[above, s:] += plane[:n - s]
+    return _dia(data, offsets)
 
 
 def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
@@ -191,9 +227,9 @@ _UPPER_STEPS = {5: ((0, 0), (1, 0), (0, 1)),
                 9: ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))}
 
 
-def _shifts(nx: int, points: int) -> list:
+def _shifts(nx: int, points: int) -> tuple:
     """Node-index shift of each upper coupling on a grid nx cells wide."""
-    return [dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points]]
+    return tuple(dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points])
 
 
 # one entry per coarsening level, so a hierarchy of up to 8 (N = 4096)
@@ -300,8 +336,10 @@ def multigrid(A, grid):
         if not ((centre > 0.0).all() and (centre < np.inf).all()):
             raise SolverError("matrix diagonal not positive and finite")
         op = _stencil_operator(planes, _shifts(nx, points)) if levels else A
-        levels.append((op, SMOOTH_OMEGA * (1.0 / centre), *_prolongation(nx, ny)))
-        planes = (_galerkin_map(nx, ny, points) @ planes.ravel()).reshape(5, -1)
+        levels.append((_matvec(op), SMOOTH_OMEGA * (1.0 / centre),
+                       *map(_matvec, _prolongation(nx, ny))))
+        galerkin = _matvec(_galerkin_map(nx, ny, points))
+        planes = galerkin(planes.ravel()).reshape(5, -1)
         nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
     factor = _banded_cholesky(planes, _shifts(nx, points))
 
@@ -313,16 +351,16 @@ def multigrid(A, grid):
             A, wdinv, _, R = level
             z = wdinv * r
             for _ in range(SMOOTH_SWEEPS - 1):
-                z += wdinv * (r - A @ z)
+                z += wdinv * (r - A(z))
             down.append((level, r, z))
-            r = R @ (r - A @ z)
+            r = R(r - A(z))
         z, info = dpbtrs(factor, r, lower=1)
         if info != 0:
             raise SolverError(f"coarsest solve failed (dpbtrs info {info})")
         for (A, wdinv, P, _), r, z_fine in reversed(down):
-            z = z_fine + P @ z
+            z = z_fine + P(z)
             for _ in range(SMOOTH_SWEEPS):
-                z += wdinv * (r - A @ z)
+                z += wdinv * (r - A(z))
         return z
 
     return vcycle

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grids import Grid1, clamp_to_unit, gradient, time_step
 
@@ -82,18 +82,25 @@ def step1d(grid: Grid1, w, m, coeffs: Coeffs1D, dt: float, t_new: float):
 
     n = grid.n
     mass = phi / dt
-    rhs = mass * wbar + F
     # rows 1..n-1 couple to both face neighbors; ghost reflection doubles
-    # the single face at each wall row
-    ab = np.zeros((3, n + 1))
-    ab[0, 1:] = ab[2, :-1] = -Dabs / h ** 2   # A[i, i+1] and A[i+1, i]
+    # the single face at each wall row.  Band rows A[i, i+1], A[i, i] and
+    # A[i+1, i], then the right-hand side, for LAPACK's dgtsv (where
+    # solve_banded((1, 1), ...) ends), which may overwrite all four
+    ab = np.zeros((4, n + 1))
+    ab[0, 1:] = ab[2, :-1] = -Dabs / h ** 2
     ab[0, 1] *= 2.0
     ab[2, -2] *= 2.0
     ab[1] = mass
     ab[1, 1:-1] += (Dabs[:-1] + Dabs[1:]) / h ** 2
     ab[1, 0] += 2.0 * Dabs[0] / h ** 2
     ab[1, -1] += 2.0 * Dabs[-1] / h ** 2
-    w_new = solve_banded((1, 1), ab, rhs)
+    ab[3] = mass * wbar + F
+    if not np.isfinite(ab).all():
+        raise ValueError("saturation system must not contain infs or NaNs")
+    *_, w_new, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], ab[3], 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular saturation system "
+                                    f"(dgtsv info {info})")
 
     # concentration half: new saturation in the drift, pointwise closure
     dwdx = gradient(w_new, h)

@@ -654,6 +654,40 @@ def test_stencil_products_match_csr_bit_for_bit(g, system, monkeypatch):
             assert np.array_equal(operator @ x, A @ x), k
 
 
+def bits(x):
+    return x.view(np.uint64)
+
+
+@pytest.mark.parametrize("system", ["pinned-pressure", "saturation"])
+@MULTILEVEL_SHAPES
+def test_vcycle_products_keep_the_bits_of_matmul(g, system, monkeypatch):
+    # the V-cycle calls scipy's compiled kernels directly, a private API;
+    # built again with every product as M @ x, it gives the same bits
+    A, _ = multigrid_systems(g, system, monkeypatch)
+    direct = multigrid(A, g)
+    monkeypatch.setattr(polyflood.linsolve, "_matvec", lambda M: M.__matmul__)
+    through_scipy = multigrid(A, g)
+    for r in np.random.default_rng(13).normal(size=(3, g.nnodes)):
+        assert np.array_equal(bits(direct(r)), bits(through_scipy(r)))
+
+
+@pytest.mark.parametrize("g", [Grid2(40, 23), Grid2(2, 300)],
+                         ids=["40x23", "2x300"])
+def test_each_direct_product_is_matmul_bit_for_bit(g, monkeypatch):
+    A, levels = multigrid_systems(g, "saturation", monkeypatch)
+    linsolve = polyflood.linsolve
+    P, R = linsolve._prolongation(g.nx, g.ny)
+    G = linsolve._galerkin_map(g.nx, g.ny, 5)
+    matrices = {"five_point": A, "pinned": pinned(A, g.nnodes // 2),
+                "coarse level": levels[1][1], "P": P, "R": R, "Galerkin": G}
+    rng = np.random.default_rng(17)
+    for name, M in matrices.items():
+        assert M.format == ("csr" if name in ("P", "R", "Galerkin") else "dia")
+        for x in rng.normal(size=(3, M.shape[1])):
+            assert np.array_equal(bits(linsolve._matvec(M)(x)),
+                                  bits(M @ x)), name
+
+
 def test_multigrid_wants_the_five_point_structure():
     # the coarse operators are read from A's values by position, so a
     # matrix in any other structure is refused rather than misread

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import polyflood.reduced1d
 from polyflood import PetroModel
 from polyflood.grids import Grid1
 from polyflood.reduced1d import (
@@ -138,6 +140,40 @@ def test_manufactured_convergence_first_order():
     # measured: 0.934, 0.964, 0.981
     for order in orders:
         assert 0.8 <= order <= 1.3, f"orders {orders}"
+
+
+def test_step1d_solves_with_solve_bandeds_bits(monkeypatch):
+    # step1d calls LAPACK's dgtsv directly; on every system of the
+    # manufactured runs it gives solve_banded's bits, the routine's caller
+    dgtsv, solves = polyflood.reduced1d.dgtsv, []
+
+    def checked(dl, d, du, b, *overwrite):
+        band = np.zeros((3, d.size))
+        band[0, 1:], band[1], band[2, :-1] = du, d, dl
+        expected = solve_banded((1, 1), band, b)
+        out = dgtsv(dl, d, du, b, *overwrite)
+        assert np.array_equal(out[3].view(np.uint64), expected.view(np.uint64))
+        solves.append(d.size)
+        return out
+    monkeypatch.setattr(polyflood.reduced1d, "dgtsv", checked)
+    coeffs, w_ex, m_ex = manufactured_problem()
+    for n in (16, 32, 64, 128):
+        g = Grid1(n)
+        run1d(g, coeffs, w_ex(g.x, 0.0), m_ex(g.x, 0.0), 0.5, dt=g.h)
+    assert len(solves) == 8 + 16 + 32 + 64
+
+
+def test_step1d_refuses_what_solve_banded_refused():
+    # a NaN right-hand side is caught in the step it appears in; a step so
+    # long that the mass rounds away leaves the pure-Neumann matrix, singular
+    g = Grid1(8)
+    w = np.full(9, 0.5)
+    nan_at_4 = lambda x, t, w_, m_, dmdx: np.where(x == 0.5, np.nan, 0.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        step1d(g, w, w, zero_coeffs(forcing_s=nan_at_4), dt=0.1, t_new=0.1)
+    coeffs = zero_coeffs(diffusion=lambda x, w_, m_: np.full_like(x, -1.0))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        step1d(g, w, w, coeffs, dt=1e300, t_new=1e300)
 
 
 def test_characteristic_derivative_residual():
