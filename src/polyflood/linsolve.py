@@ -19,17 +19,17 @@ Each level is held as its planes, every node's coupling to itself and to
 its neighbours further on in the node order (_UPPER_STEPS).  Sliced, they
 are the rows of the level's DIA matrix (scipy's dia_matvec sums a row in
 a CSR row's order, so the bits are the same) and the coarsest level's
-band.  What depends on the grid shape only is built once per shape and
-cached read-only: the prolongation and restriction, per coarsening
-level the map from its planes to the next level's, read off P's rows with
-exact weights (about 320 bytes per fine node, 245 of them the maps: 3.0 MB
-at N = 96), and each level's DIA offsets, which every DIA matrix of the
-level shares (_dia).  Per call, five_point fills the finest level's DIA
-matrix; multigrid reads its planes from that matrix's data, applies the
-maps (one sparse product per level) and slices each coarser level's DIA
-matrix, smoother weights and band.  Every product of the hierarchy, the
-maps' too, is one call of the compiled kernel that scipy's A @ x ends in,
-on the arrays the level already holds (_matvec).
+band.  What depends on the grid shape only is one cache entry per shape
+(_hierarchy): per coarsening level its stencil (shifts, DIA offsets and
+their rows) and read-only prolongation, restriction and map from its
+planes to the next level's, read off P's rows with exact weights; then the
+coarsest stencil.  An entry takes 320 bytes per fine node at N = 96, 242
+of them the maps (3.0 MB), and 327 at N = 256 (21.6 MB).  Per call,
+five_point fills the finest level's DIA matrix; multigrid reads its planes
+from that matrix's data, applies the maps (one sparse product per level)
+and slices each coarser level's DIA matrix, smoother weights and band.
+Every product of the hierarchy, the maps' too, is one call of the compiled
+kernel that scipy's A @ x ends in, on the level's own arrays (_matvec).
 """
 
 from __future__ import annotations
@@ -130,23 +130,14 @@ def _matvec(M):
     return product
 
 
-@functools.lru_cache(maxsize=32)
-def _stencil_rows(shifts: tuple):
-    """The ascending DIA offsets of the symmetric stencil of shifts, and
-    for each shift s the rows of offsets -s and +s."""
-    offsets = sorted({*shifts, *(-s for s in shifts)})
-    return tuple(offsets), tuple((offsets.index(-s), offsets.index(s))
-                                 for s in shifts)
-
-
-def _stencil_operator(planes, shifts) -> sparse.dia_matrix:
-    """The symmetric operator that couples node k to k + shifts[p] by
-    planes[p, k], as a DIA matrix with ascending offsets: its product sums
-    each row in column order, as a CSR product does, so the bits agree.
-    On a grid one cell wide the east and north-west couplings share an
-    offset, and never a node, so they add."""
+def _stencil_operator(planes, stencil) -> sparse.dia_matrix:
+    """The symmetric operator of a level's stencil that couples node k to
+    k + shifts[p] by planes[p, k], as a DIA matrix with ascending offsets:
+    its product sums each row in column order, as a CSR product does, so
+    the bits agree.  On a grid one cell wide the east and north-west
+    couplings share an offset, and never a node, so they add."""
     n = planes.shape[1]
-    offsets, rows = _stencil_rows(shifts)
+    shifts, offsets, rows = stencil
     data = np.zeros((len(offsets), n))
     for s, (below, above), plane in zip(shifts, rows, planes):
         # row -s holds A[j + s, j] at column j, row +s holds A[j - s, j]
@@ -212,40 +203,22 @@ def _interpolation_1d(n: int) -> sparse.csr_matrix:
                              shape=(n + 1, right[-1] + 1))
 
 
-@functools.lru_cache(maxsize=16)
-def _prolongation(nx: int, ny: int):
-    """Bilinear prolongation onto an nx-by-ny grid's nodes and its
-    transpose, the restriction; the coarse grid has (nx+1)//2 by
-    (ny+1)//2 cells."""
-    P = sparse.kron(_interpolation_1d(ny), _interpolation_1d(nx), format="csr")
-    return P, P.T.tocsr()
-
-
 # the steps (dx, dy) from a node to itself and to the neighbours it couples
 # to further on in the node order, in the 5- and in the 9-point stencil
 _UPPER_STEPS = {5: ((0, 0), (1, 0), (0, 1)),
                 9: ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))}
 
 
-def _shifts(nx: int, points: int) -> tuple:
-    """Node-index shift of each upper coupling on a grid nx cells wide."""
-    return tuple(dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points])
-
-
-# one entry per coarsening level, so a hierarchy of up to 8 (N = 4096)
-# keeps all of its maps instead of evicting its own first level
-@functools.lru_cache(maxsize=8)
-def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
-    """R A P on an nx-by-ny grid as one read-only linear map G: for A
-    symmetric with a points-stencil, G @ planes maps A's planes, a
-    flattened (points // 2 + 1, ny+1, nx+1) stack of its couplings along
-    _UPPER_STEPS, to those of R A P.  G is read off P's rows: A's coupling
-    (k, l), k <= l, stands for A_lk too, so each parent I of k and J of l
-    add P_kI P_lJ to the coupling of min(I, J) and max(I, J), twice that
-    for I = J and half that for k = l.  Each weight sums products of 1,
-    1/2 and 1/4, so it is exact, and each row sums in (k, plane) order.
+def _galerkin_map(P, nx: int, ny: int, points: int) -> sparse.csr_matrix:
+    """R A P on an nx-by-ny grid as one linear map G, read off the rows of
+    its prolongation P: for A symmetric with a points-stencil, G @ planes
+    maps A's planes, a flattened (points // 2 + 1, ny+1, nx+1) stack of its
+    couplings along _UPPER_STEPS, to those of R A P.  A's coupling (k, l),
+    k <= l, stands for A_lk too, so each parent I of k and J of l add
+    P_kI P_lJ to the coupling of min(I, J) and max(I, J), twice that for
+    I = J and half that for k = l.  Each weight sums products of 1, 1/2
+    and 1/4, so it is exact, and each row sums in (k, plane) order.
     """
-    P = _prolongation(nx, ny)[0]
     (n, coarse), steps = P.shape, _UPPER_STEPS[points]
     width = (nx + 1) // 2 + 1
     j, i = np.divmod(np.arange(n, dtype=np.int32), nx + 1)
@@ -276,17 +249,42 @@ def _galerkin_map(nx: int, ny: int, points: int) -> sparse.csr_matrix:
     # to plane slots by an intp gather that scipy narrows to int32; freeing
     # the wide copy lifts glibc's mmap and trim thresholds (else steps refault)
     k, plane = np.divmod(np.arange(G.shape[1]), len(steps))
-    G = sparse.csr_matrix((G.data, (plane * n + k)[G.indices], G.indptr),
-                          shape=G.shape)
-    for array in (G.indptr, G.indices, G.data):
-        array.flags.writeable = False
-    return G
+    return sparse.csr_matrix((G.data, (plane * n + k)[G.indices], G.indptr),
+                             shape=G.shape)
 
 
-def _banded_cholesky(planes, shifts) -> np.ndarray:
+# one entry per grid shape: a flood uses one, a study or a verify pass four
+@functools.lru_cache(maxsize=4)
+def _hierarchy(nx: int, ny: int):
+    """The shape-only half of a V-cycle on an nx-by-ny grid: per coarsening
+    level, its stencil and its read-only bilinear prolongation P (onto it
+    from (nx+1)//2 by (ny+1)//2 cells), restriction P^T and Galerkin map;
+    then the coarsest level's stencil.  A stencil holds the upper shifts
+    along _UPPER_STEPS, the ascending DIA offsets and, for each shift s,
+    the rows of offsets -s and +s."""
+    plan, points = [], 5
+    while True:
+        shifts = tuple(dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points])
+        offsets = sorted({*shifts, *(-s for s in shifts)})
+        stencil = (shifts, tuple(offsets),
+                   tuple((offsets.index(-s), offsets.index(s)) for s in shifts))
+        if (nx + 1) * (ny + 1) <= COARSEST_NODES:
+            return tuple(plan), stencil
+        P = sparse.kron(_interpolation_1d(ny), _interpolation_1d(nx),
+                        format="csr")
+        maps = P, P.T.tocsr(), _galerkin_map(P, nx, ny, points)
+        for M in maps:
+            for array in (M.indptr, M.indices, M.data):
+                array.flags.writeable = False
+        plan.append((stencil, *maps))
+        nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
+
+
+def _banded_cholesky(planes, stencil) -> np.ndarray:
     """Lower banded Cholesky factor, from LAPACK's dpbtrf, of the SPD
-    operator of _stencil_operator(planes, shifts): band row s is the plane
-    of shift s."""
+    operator of _stencil_operator(planes, stencil): band row s is the
+    plane of shift s."""
+    shifts = stencil[0]
     ab = np.zeros((max(shifts) + 1, planes.shape[1]))
     for s, plane in zip(shifts, planes):
         ab[s] += plane
@@ -318,7 +316,7 @@ def multigrid(A, grid):
     data = A.data
     if not np.isfinite(data).all():
         raise SolverError("matrix entries not finite")
-    nx, ny, points = grid.nx, grid.ny, 5
+    nx, ny = grid.nx, grid.ny
     n, w = grid.nnodes, nx + 1
     # DIA row -s holds A[k + s, k] at column k and row s its mirror, so
     # rows 0, -1 and -w are the planes: each node's coupling to itself,
@@ -329,19 +327,18 @@ def multigrid(A, grid):
             and np.array_equal(data[1, :-1], data[3, 1:])
             and np.array_equal(data[0, :-w], data[4, w:])):
         raise SolverError("matrix does not have the grid's 5-point structure")
+    plan, coarsest = _hierarchy(nx, ny)
     planes = data[2::-1]
     levels = []
-    while (nx + 1) * (ny + 1) > COARSEST_NODES:
+    for stencil, P, R, galerkin in plan:
         centre = planes[0]
         if not ((centre > 0.0).all() and (centre < np.inf).all()):
             raise SolverError("matrix diagonal not positive and finite")
-        op = _stencil_operator(planes, _shifts(nx, points)) if levels else A
+        op = _stencil_operator(planes, stencil) if levels else A
         levels.append((_matvec(op), SMOOTH_OMEGA * (1.0 / centre),
-                       *map(_matvec, _prolongation(nx, ny))))
-        galerkin = _matvec(_galerkin_map(nx, ny, points))
-        planes = galerkin(planes.ravel()).reshape(5, -1)
-        nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
-    factor = _banded_cholesky(planes, _shifts(nx, points))
+                       _matvec(P), _matvec(R)))
+        planes = _matvec(galerkin)(planes.ravel()).reshape(5, -1)
+    factor = _banded_cholesky(planes, coarsest)
 
     # a loop, not recursion: a self-referencing closure would keep every
     # step's hierarchy alive until the cyclic garbage collector ran

@@ -620,8 +620,9 @@ def stencil_csr(planes, nx, ny):
     (33, 65, 5), (40, 23, 5), (2, 300, 5), (17, 33, 9), (20, 12, 9),
     (1, 150, 9), (49, 49, 9)])
 def test_each_galerkin_map_is_exact(nx, ny, points):
-    # on integer planes every product and sum is exact, so each map gives
-    # the upper planes of P^T A P, with P and A built here, to the bit
+    # on integer planes every product and sum is exact, so each map, read
+    # off P, gives the upper planes of P^T A P, with P and A built here, to
+    # the bit
     rng = np.random.default_rng(points * nx + ny)
     planes = rng.integers(-8, 9, (points // 2 + 1, (nx + 1) * (ny + 1)))
     P = bilinear_prolongation(nx, ny)
@@ -632,7 +633,7 @@ def test_each_galerkin_map_is_exact(nx, ny, points):
     for plane, (dx, dy) in enumerate([(0, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]):
         k = np.flatnonzero((0 <= x + dx) & (x + dx <= cx) & (y + dy <= cy))
         expected[plane, k] = coarse[k, k + dy * (cx + 1) + dx]
-    G = polyflood.linsolve._galerkin_map(nx, ny, points)
+    G = polyflood.linsolve._galerkin_map(P, nx, ny, points)
     assert np.array_equal(G @ planes.ravel(), expected.ravel())
 
 
@@ -676,8 +677,7 @@ def test_vcycle_products_keep_the_bits_of_matmul(g, system, monkeypatch):
 def test_each_direct_product_is_matmul_bit_for_bit(g, monkeypatch):
     A, levels = multigrid_systems(g, "saturation", monkeypatch)
     linsolve = polyflood.linsolve
-    P, R = linsolve._prolongation(g.nx, g.ny)
-    G = linsolve._galerkin_map(g.nx, g.ny, 5)
+    (_, P, R, G), *_ = linsolve._hierarchy(g.nx, g.ny)[0]
     matrices = {"five_point": A, "pinned": pinned(A, g.nnodes // 2),
                 "coarse level": levels[1][1], "P": P, "R": R, "Galerkin": G}
     rng = np.random.default_rng(17)
@@ -712,31 +712,46 @@ def test_multigrid_wants_the_five_point_structure():
             multigrid(bad, grid)
 
 
-def test_galerkin_maps_are_built_once_per_shape_and_read_only():
-    galerkin = polyflood.linsolve._galerkin_map
-    galerkin.cache_clear()
-    small = Grid2(12, 12)  # one level: nothing coarsens, nothing is kept
-    multigrid(spd_five_point(small, seed=1), small)
-    assert galerkin.cache_info().currsize == 0
+def test_galerkin_maps_are_built_once_per_shape_and_read_only(monkeypatch):
+    # one cache entry per grid shape holds every level's P, P^T and map,
+    # however many levels the shape coarsens through
+    linsolve = polyflood.linsolve
+    hierarchy, galerkin = linsolve._hierarchy, linsolve._galerkin_map
+    built = []
+
+    def counted(P, *shape):
+        built.append(shape)
+        return galerkin(P, *shape)
+    monkeypatch.setattr(linsolve, "_galerkin_map", counted)
+
+    def solve_twice(g):
+        hierarchy.cache_clear()
+        built.clear()
+        for seed in (1, 2):
+            multigrid(spd_five_point(g, seed=seed), g)
+        info = hierarchy.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        return hierarchy(g.nx, g.ny)[0]
+
+    small = Grid2(12, 12)  # one level: nothing coarsens, no map is built
+    assert solve_twice(small) == () and built == []
     g = Grid2(97, 97)  # coarsens to 49, 25 and 13 cells a side
-    for seed in (1, 2):
-        multigrid(spd_five_point(g, seed=seed), g)
-    info = galerkin.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-    for shape in ((97, 97, 5), (49, 49, 9), (25, 25, 9)):
-        G = galerkin(*shape)
-        for array in (G.data, G.indices, G.indptr):
-            assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            G.data[0] = 1.0
-    # five coarsenings, 2400 x 2 to 75 x 1 cells, more than a cache of
-    # four maps held: every solve rebuilt every level
-    galerkin.cache_clear()
+    plan = solve_twice(g)
+    assert built == [(97, 97, 5), (49, 49, 9), (25, 25, 9)]
+    nx, ny = g.nx, g.ny
+    for _, P, R, G in plan:
+        assert abs(P - bilinear_prolongation(nx, ny)).max() == 0.0
+        assert abs(R - P.T).max() == 0.0
+        for M in (P, R, G):
+            for array in (M.data, M.indices, M.indptr):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                M.data[0] = 1.0
+        nx, ny = (nx + 1) // 2, (ny + 1) // 2
+    # five coarsenings, 2400 x 2 to 75 x 1 cells, are one entry: the
+    # cache counts shapes, not levels
     deep = Grid2(2400, 2)
-    for seed in (1, 2):
-        multigrid(spd_five_point(deep, seed=seed), deep)
-    info = galerkin.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+    assert len(solve_twice(deep)) == 5 and len(built) == 5
 
 
 def test_nonfinite_rhs_raises_at_once():

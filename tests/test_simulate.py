@@ -2,6 +2,7 @@
 loop must leave untouched, determinism of dumps, and coarse-grid physics
 sanity (bounds, monotone flood growth, breakthrough bookkeeping)."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import polyflood.linsolve
 import polyflood.pressure
 import polyflood.transport
 from polyflood.config import ConfigError, RunConfig
-from polyflood.grids import Grid2
+from polyflood.grids import Grid2, time_step
 from polyflood.linsolve import SolverError
 from polyflood.petro import PetroModel
 from polyflood.pressure import (WellConfig, assemble_pressure, recover_velocity,
@@ -295,3 +296,88 @@ def test_well_sources_are_built_once_per_run():
     steps = run_simulation(RunConfig(N=24, tstop=0.1, well_radius=0.2)).summary.steps
     info = polyflood.pressure._well_sources.cache_info()
     assert steps == 5 and info.misses == 1 and info.hits == 3 * steps - 1
+
+
+def water_balance(cfg, monkeypatch):
+    """March cfg with advance to cfg.tstop and split its water: the net
+    injection, integral of Q (1 - f(s, c) at the production corner) dt with
+    f at the start of each step; the gain, sum of phi (s - s_initial) over
+    the node areas; and the clamp's part, sum of phi (s - (1 - s_ro))+
+    over the node areas with s read before the clamp."""
+    model, wells = cfg.petro(), cfg.wells()
+    top = model.mobile_range[1]
+    area = Grid2(cfg.N, cfg.N).node_areas
+    clamped = []
+
+    def solve(*args, **kwargs):
+        s = polyflood.linsolve.solve_cg(*args, **kwargs)
+        clamped.append(cfg.phi * (np.maximum(s - top, 0.0) * area.ravel()).sum())
+        return s
+    monkeypatch.setattr(polyflood.transport, "solve_cg", solve)
+    state = first = init_state(cfg)
+    injected = 0.0
+    while (dt := time_step(state.t, cfg.dt, cfg.tstop)) > 0.0:
+        f = model.fractional_flow(state.s[-1, -1], state.c[-1, -1])
+        injected += cfg.Q * (1.0 - f) * dt
+        state = advance(state, model, StepParams(dt, cfg.phi, cfg.K, wells))
+    gain = cfg.phi * ((state.s - first.s) * area).sum()
+    return injected, gain, sum(clamped)
+
+
+def test_water_balance_splits_into_a_first_order_rest_and_the_clamp(monkeypatch):
+    """Along dt = 0.32 h the water that goes missing is the clamp's part
+    plus a rest that halves with h and dt, as an O(h + dt) MMOC estimate
+    has it.  The clamp's part does not shrink: it equals
+    (1 - f(1 - s_ro, c0)) Q t, since f < 1 at the top of the mobile range
+    and the well term keeps pushing s past it there.  That is a known
+    defect of the scheme, pinned here so that a fix shows as a deliberate
+    change of this test."""
+    rests, clamps = [], []
+    for n, dt in ((32, 0.01), (64, 0.005), (128, 0.0025)):
+        cfg = RunConfig(N=n, dt=dt, tstop=0.2, Q=1.0, well_radius=0.2)
+        injected, gain, clamp = water_balance(cfg, monkeypatch)
+        rests.append(injected - gain - clamp)
+        clamps.append(clamp)
+    orders = [math.log2(a / b) for a, b in zip(rests, rests[1:])]
+    assert all(0.8 <= o <= 1.3 for o in orders), (rests, orders)
+    model = cfg.petro()
+    predicted = (1.0 - model.fractional_flow(model.mobile_range[1], cfg.c0)) \
+        * cfg.Q * cfg.tstop
+    assert all(abs(c - predicted) <= 0.05 * predicted for c in clamps), \
+        (clamps, predicted)
+
+
+def nodal_k_runs(n, K):
+    """Ten advance steps at N = n with bump wells and permeability K."""
+    cfg = RunConfig(N=n, dt=0.02, Q=1.0, well_radius=0.2)
+    model, state = cfg.petro(), init_state(cfg)
+    params = StepParams(cfg.dt, cfg.phi, K, cfg.wells())
+    for _ in range(10):
+        state = advance(state, model, params)
+    return state
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_a_nodal_permeability_reaches_every_stage(n):
+    # StepParams.K may be a nodal field: pressure, velocity and the laws'
+    # D all read it.  A constant one keeps the scalar's bits; a field
+    # symmetric in x <-> y keeps the run's mirror symmetry; layers with a
+    # jump of 1e3 still give finite fields
+    fields = ("s", "c", "p", "vx", "vy")
+    shape = (n + 1, n + 1)
+    scalar, nodal = nodal_k_runs(n, 2.5), nodal_k_runs(n, np.full(shape, 2.5))
+    for name in fields:
+        assert np.array_equal(getattr(scalar, name), getattr(nodal, name)), name
+
+    z = np.random.default_rng(n).normal(size=shape)
+    K = np.exp(0.38 * (z + z.T))  # contrast 40 at N = 32, 44 at N = 64
+    st = nodal_k_runs(n, K)
+    assert np.abs(st.s - st.s.T).max() <= 1e-12
+    assert np.abs(st.c - st.c.T).max() <= 1e-12
+    assert np.abs(st.p - st.p.T).max() <= 1e-12 * np.abs(st.p).max()
+    assert np.abs(st.vx - st.vy.T).max() <= 1e-12 * np.abs(st.vx).max()
+
+    layers = np.where(np.arange(n + 1) * 8 // (n + 1) % 2, 1e-3, 1.0)
+    st = nodal_k_runs(n, np.repeat(layers[:, None], n + 1, axis=1))
+    for name in fields:
+        assert np.isfinite(getattr(st, name)).all(), name
