@@ -20,13 +20,15 @@ its neighbours further on in the node order (_UPPER_STEPS).  Sliced, they
 are the rows of the level's DIA matrix (scipy's dia_matvec sums a row in
 a CSR row's order, so the bits are the same) and the coarsest level's
 band.  What depends on the grid shape only is one cache entry per shape
-(_hierarchy): per coarsening level its stencil (shifts, DIA offsets and
-their rows) and read-only prolongation, restriction and map from its
-planes to the next level's, read off P's rows with exact weights; then the
-coarsest stencil.  An entry takes 320 bytes per fine node at N = 96, 242
+(_hierarchy): per coarsening level its stencil and read-only
+prolongation, restriction and map from its planes to the next level's,
+read off P's rows with exact weights; then the coarsest stencil.  A
+stencil holds its level's zero DIA matrix, which every DIA matrix of the
+level copies (_dia), so all share the read-only offsets that scipy checked
+once per shape.  An entry takes 320 bytes per fine node at N = 96, 242
 of them the maps (3.0 MB), and 327 at N = 256 (21.6 MB).  Per call,
-five_point fills the finest level's DIA matrix; multigrid reads its planes
-from that matrix's data, applies the maps (one sparse product per level)
+five_point fills the finest level's DIA matrix; multigrid reads its
+planes from that data, applies the maps (one sparse product per level)
 and slices each coarser level's DIA matrix, smoother weights and band.
 Every product of the hierarchy, the maps' too, is one call of the compiled
 kernel that scipy's A @ x ends in, on the level's own arrays (_matvec).
@@ -90,20 +92,11 @@ class SparseSystem:
     pure_neumann: bool = False
 
 
-@functools.lru_cache(maxsize=32)
-def _zero_dia(n: int, offsets: tuple) -> sparse.dia_matrix:
-    """The n x n zero DIA matrix on offsets, with read-only offsets."""
-    Z = sparse.dia_matrix((np.zeros((len(offsets), 0)), offsets), shape=(n, n))
-    Z.offsets.flags.writeable = False
-    return Z
-
-
-def _dia(data, offsets: tuple) -> sparse.dia_matrix:
-    """The square DIA matrix of data, one row per offset: built from its
-    structure's cached zero matrix, scipy's constructor shares the offsets
-    checked there, where the (data, offsets) form would check them again
-    and search an index dtype on every call."""
-    A = sparse.dia_matrix(_zero_dia(data.shape[1], offsets))
+def _dia(data, like) -> sparse.dia_matrix:
+    """The DIA matrix of data on like's structure, copied from like: it
+    shares like's offsets, which scipy checked once, where the (data,
+    offsets) form would check them again and search an index dtype."""
+    A = sparse.dia_matrix(like)
     A.data = data
     return A
 
@@ -137,14 +130,14 @@ def _stencil_operator(planes, stencil) -> sparse.dia_matrix:
     the bits agree.  On a grid one cell wide the east and north-west
     couplings share an offset, and never a node, so they add."""
     n = planes.shape[1]
-    shifts, offsets, rows = stencil
-    data = np.zeros((len(offsets), n))
+    shifts, rows, zero = stencil
+    data = np.zeros((len(zero.offsets), n))
     for s, (below, above), plane in zip(shifts, rows, planes):
         # row -s holds A[j + s, j] at column j, row +s holds A[j - s, j]
         data[below, :n - s] += plane[:n - s]
         if s:
             data[above, s:] += plane[:n - s]
-    return _dia(data, offsets)
+    return _dia(data, zero)
 
 
 def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
@@ -174,7 +167,8 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
     # mass plus the east, west, north and south faces, in that order, which
     # fixes the rounding
     centre[...] = mass - east - west - north - south
-    return _dia(data.reshape(5, -1), (-w, -1, 0, 1, w))
+    plan, coarsest = _hierarchy(nx, ny)
+    return _dia(data.reshape(5, -1), (plan[0][0] if plan else coarsest)[2])
 
 
 def pinned(A, k: int) -> sparse.dia_matrix:
@@ -187,7 +181,7 @@ def pinned(A, k: int) -> sparse.dia_matrix:
     cols = k + A.offsets
     inside = (cols >= 0) & (cols < data.shape[1])
     data[inside, cols[inside]] = A.offsets[inside] == 0
-    return _dia(data, tuple(A.offsets.tolist()))
+    return _dia(data, A)
 
 
 def _interpolation_1d(n: int) -> sparse.csr_matrix:
@@ -260,15 +254,18 @@ def _hierarchy(nx: int, ny: int):
     level, its stencil and its read-only bilinear prolongation P (onto it
     from (nx+1)//2 by (ny+1)//2 cells), restriction P^T and Galerkin map;
     then the coarsest level's stencil.  A stencil holds the upper shifts
-    along _UPPER_STEPS, the ascending DIA offsets and, for each shift s,
-    the rows of offsets -s and +s."""
+    along _UPPER_STEPS, for each shift s the rows of DIA offsets -s and +s,
+    and the zero DIA matrix on the ascending offsets, made read-only."""
     plan, points = [], 5
     while True:
+        n = (nx + 1) * (ny + 1)
         shifts = tuple(dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points])
         offsets = sorted({*shifts, *(-s for s in shifts)})
-        stencil = (shifts, tuple(offsets),
-                   tuple((offsets.index(-s), offsets.index(s)) for s in shifts))
-        if (nx + 1) * (ny + 1) <= COARSEST_NODES:
+        zero = sparse.dia_matrix((np.zeros((len(offsets), 0)), offsets), (n, n))
+        zero.offsets.flags.writeable = False
+        stencil = (shifts, tuple((offsets.index(-s), offsets.index(s))
+                                 for s in shifts), zero)
+        if n <= COARSEST_NODES:
             return tuple(plan), stencil
         P = sparse.kron(_interpolation_1d(ny), _interpolation_1d(nx),
                         format="csr")
@@ -318,16 +315,17 @@ def multigrid(A, grid):
         raise SolverError("matrix entries not finite")
     nx, ny = grid.nx, grid.ny
     n, w = grid.nnodes, nx + 1
+    plan, coarsest = _hierarchy(nx, ny)
     # DIA row -s holds A[k + s, k] at column k and row s its mirror, so
     # rows 0, -1 and -w are the planes: each node's coupling to itself,
     # its east and its north neighbour, where a row end has no east one
     if not (A.shape == (n, n) and data.shape[1] == n
-            and list(A.offsets) == [-w, -1, 0, 1, w]
+            and np.array_equal(A.offsets,
+                               (plan[0][0] if plan else coarsest)[2].offsets)
             and not data[1, nx::w].any()
             and np.array_equal(data[1, :-1], data[3, 1:])
             and np.array_equal(data[0, :-w], data[4, w:])):
         raise SolverError("matrix does not have the grid's 5-point structure")
-    plan, coarsest = _hierarchy(nx, ny)
     planes = data[2::-1]
     levels = []
     for stencil, P, R, galerkin in plan:

@@ -182,17 +182,24 @@ def test_five_point_rows_do_not_wrap():
         assert np.array_equal(A.toarray(), dense_five_point_oracle(g, fx, fy, mass))
         w = g.nx + 1
         B = five_point(g, 2.0 * fx, 2.0 * fy)
+        plan, coarsest = polyflood.linsolve._hierarchy(g.nx, g.ny)
+        finest = plan[0][0] if plan else coarsest
         for M in (A, B):
             assert list(M.offsets) == [-w, -1, 0, 1, w]
             assert M.data.shape == (5, g.nnodes)
             # every matrix of the shape shares them, so none may write them
             assert not M.offsets.flags.writeable
+            assert M.offsets is finest[2].offsets
         assert not np.shares_memory(A.data, B.data)
         # DIA row -s holds A[k + s, k] at column k, row s A[k - s, k]
         east, north = g.node_id(g.nx - 1, g.ny), g.node_id(0, g.ny - 1)
         assert A.data[1, 0] == A.data[3, 1] == fx[0, 0] == 0.0
         assert A.data[1, east] == A.data[3, east + 1] == fx[-1, -1] == 0.0
         assert A.data[0, north] == A.data[4, north + w] == fy[-1, 0] == 0.0
+    # on a shape that coarsens, they are its finest level's
+    g = Grid2(40, 23)
+    A = five_point(g, np.ones((g.ny + 1, g.nx)), np.ones((g.ny, g.nx + 1)))
+    assert A.offsets is polyflood.linsolve._hierarchy(40, 23)[0][0][0][2].offsets
 
 
 def test_well_sources_balanced():
@@ -378,6 +385,7 @@ def test_pinned_matches_the_inline_pin(g, node):
     assert A.data.tobytes() == data.tobytes()
     assert A.offsets.tobytes() == offsets.tobytes()
     assert not got.offsets.flags.writeable
+    assert got.offsets is A.offsets
 
 
 def test_zero_rhs_gives_zero_pressure():
@@ -500,6 +508,8 @@ def multigrid_levels(monkeypatch, solve):
 
     def operator(planes, shifts):
         seen.append((planes, build(planes, shifts)))
+        # each level's operators share its stencil's read-only offsets
+        assert seen[-1][1].offsets is shifts[2].offsets
         return seen[-1][1]
 
     def cholesky(planes, shifts):
@@ -714,7 +724,8 @@ def test_multigrid_wants_the_five_point_structure():
 
 def test_galerkin_maps_are_built_once_per_shape_and_read_only(monkeypatch):
     # one cache entry per grid shape holds every level's P, P^T and map,
-    # however many levels the shape coarsens through
+    # however many levels the shape coarsens through; five_point reads it
+    # before each multigrid does
     linsolve = polyflood.linsolve
     hierarchy, galerkin = linsolve._hierarchy, linsolve._galerkin_map
     built = []
@@ -730,7 +741,7 @@ def test_galerkin_maps_are_built_once_per_shape_and_read_only(monkeypatch):
         for seed in (1, 2):
             multigrid(spd_five_point(g, seed=seed), g)
         info = hierarchy.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
         return hierarchy(g.nx, g.ny)[0]
 
     small = Grid2(12, 12)  # one level: nothing coarsens, no map is built
@@ -739,7 +750,9 @@ def test_galerkin_maps_are_built_once_per_shape_and_read_only(monkeypatch):
     plan = solve_twice(g)
     assert built == [(97, 97, 5), (49, 49, 9), (25, 25, 9)]
     nx, ny = g.nx, g.ny
-    for _, P, R, G in plan:
+    for stencil, P, R, G in plan:
+        # a level's DIA template holds its offsets and no data
+        assert stencil[2].data.shape == (len(stencil[2].offsets), 0)
         assert abs(P - bilinear_prolongation(nx, ny)).max() == 0.0
         assert abs(R - P.T).max() == 0.0
         for M in (P, R, G):
