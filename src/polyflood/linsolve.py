@@ -20,12 +20,12 @@ its neighbours further on in the node order (_UPPER_STEPS).  Sliced, they
 are the rows of the level's DIA matrix (scipy's dia_matvec sums a row in
 a CSR row's order, so the bits are the same) and the coarsest level's
 band.  What depends on the grid shape only is one cache entry per shape
-(_hierarchy): per coarsening level its stencil and read-only
-prolongation, restriction and map from its planes to the next level's,
-read off P's rows with exact weights; then the coarsest stencil.  A
-stencil holds its level's zero DIA matrix, which every DIA matrix of the
-level copies (_dia), so all share the read-only offsets that scipy checked
-once per shape.  An entry takes 320 bytes per fine node at N = 96, 242
+(_hierarchy): every level's stencil, finest first, and per coarsening its
+read-only prolongation, restriction and map from its planes to the next
+level's, read off P's rows with exact weights.  A stencil holds its
+level's zero DIA matrix, which every DIA matrix of the level copies
+(_dia), so all share the read-only offsets that scipy checked once per
+shape.  An entry takes 320 bytes per fine node at N = 96, 242
 of them the maps (3.0 MB), and 327 at N = 256 (21.6 MB).  Per call,
 five_point fills the finest level's DIA matrix; multigrid reads its
 planes from that data, applies the maps (one sparse product per level)
@@ -167,8 +167,7 @@ def five_point(grid, fx, fy, mass=0.0) -> sparse.dia_matrix:
     # mass plus the east, west, north and south faces, in that order, which
     # fixes the rounding
     centre[...] = mass - east - west - north - south
-    plan, coarsest = _hierarchy(nx, ny)
-    return _dia(data.reshape(5, -1), (plan[0][0] if plan else coarsest)[2])
+    return _dia(data.reshape(5, -1), _hierarchy(nx, ny)[0][0][2])
 
 
 def pinned(A, k: int) -> sparse.dia_matrix:
@@ -250,30 +249,29 @@ def _galerkin_map(P, nx: int, ny: int, points: int) -> sparse.csr_matrix:
 # one entry per grid shape: a flood uses one, a study or a verify pass four
 @functools.lru_cache(maxsize=4)
 def _hierarchy(nx: int, ny: int):
-    """The shape-only half of a V-cycle on an nx-by-ny grid: per coarsening
-    level, its stencil and its read-only bilinear prolongation P (onto it
-    from (nx+1)//2 by (ny+1)//2 cells), restriction P^T and Galerkin map;
-    then the coarsest level's stencil.  A stencil holds the upper shifts
-    along _UPPER_STEPS, for each shift s the rows of DIA offsets -s and +s,
-    and the zero DIA matrix on the ascending offsets, made read-only."""
-    plan, points = [], 5
+    """The shape-only half of a V-cycle on an nx-by-ny grid, (stencils,
+    maps): every level's stencil, finest first, and per coarsening the
+    read-only bilinear prolongation P onto a level from (nx+1)//2 by
+    (ny+1)//2 cells, restriction P^T and Galerkin map.  A stencil holds
+    the shifts along _UPPER_STEPS, the rows of DIA offsets -s and +s per
+    shift s, and the zero DIA matrix on the ascending read-only offsets."""
+    stencils, maps, points = [], [], 5
     while True:
         n = (nx + 1) * (ny + 1)
         shifts = tuple(dy * (nx + 1) + dx for dx, dy in _UPPER_STEPS[points])
         offsets = sorted({*shifts, *(-s for s in shifts)})
         zero = sparse.dia_matrix((np.zeros((len(offsets), 0)), offsets), (n, n))
         zero.offsets.flags.writeable = False
-        stencil = (shifts, tuple((offsets.index(-s), offsets.index(s))
-                                 for s in shifts), zero)
+        stencils.append((shifts, tuple((offsets.index(-s), offsets.index(s))
+                                       for s in shifts), zero))
         if n <= COARSEST_NODES:
-            return tuple(plan), stencil
+            return tuple(stencils), tuple(maps)
         P = sparse.kron(_interpolation_1d(ny), _interpolation_1d(nx),
                         format="csr")
-        maps = P, P.T.tocsr(), _galerkin_map(P, nx, ny, points)
-        for M in maps:
+        maps.append((P, P.T.tocsr(), _galerkin_map(P, nx, ny, points)))
+        for M in maps[-1]:
             for array in (M.indptr, M.indices, M.data):
                 array.flags.writeable = False
-        plan.append((stencil, *maps))
         nx, ny, points = (nx + 1) // 2, (ny + 1) // 2, 9
 
 
@@ -315,20 +313,19 @@ def multigrid(A, grid):
         raise SolverError("matrix entries not finite")
     nx, ny = grid.nx, grid.ny
     n, w = grid.nnodes, nx + 1
-    plan, coarsest = _hierarchy(nx, ny)
+    stencils, maps = _hierarchy(nx, ny)
     # DIA row -s holds A[k + s, k] at column k and row s its mirror, so
     # rows 0, -1 and -w are the planes: each node's coupling to itself,
     # its east and its north neighbour, where a row end has no east one
     if not (A.shape == (n, n) and data.shape[1] == n
-            and np.array_equal(A.offsets,
-                               (plan[0][0] if plan else coarsest)[2].offsets)
+            and np.array_equal(A.offsets, stencils[0][2].offsets)
             and not data[1, nx::w].any()
             and np.array_equal(data[1, :-1], data[3, 1:])
             and np.array_equal(data[0, :-w], data[4, w:])):
         raise SolverError("matrix does not have the grid's 5-point structure")
     planes = data[2::-1]
     levels = []
-    for stencil, P, R, galerkin in plan:
+    for stencil, (P, R, galerkin) in zip(stencils, maps):
         centre = planes[0]
         if not ((centre > 0.0).all() and (centre < np.inf).all()):
             raise SolverError("matrix diagonal not positive and finite")
@@ -336,7 +333,7 @@ def multigrid(A, grid):
         levels.append((_matvec(op), SMOOTH_OMEGA * (1.0 / centre),
                        _matvec(P), _matvec(R)))
         planes = _matvec(galerkin)(planes.ravel()).reshape(5, -1)
-    factor = _banded_cholesky(planes, coarsest)
+    factor = _banded_cholesky(planes, stencils[-1])
 
     # a loop, not recursion: a self-referencing closure would keep every
     # step's hierarchy alive until the cyclic garbage collector ran

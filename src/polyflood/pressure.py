@@ -65,6 +65,8 @@ class WellConfig:
             raise ValueError("well radius must lie in [0, 0.5]")
 
 
+# one entry per (shape, wells): a flood takes 1, a verify pass 5 (4 shapes at
+# Q = 1, N = 16 at Q = 1.5; a repeat misses none), the CLI's studies 4 and 1
 @functools.lru_cache(maxsize=16)
 def _well_sources(nx: int, ny: int, wells: WellConfig):
     """Read-only pressure load (flat) and injection density (nodal) of a

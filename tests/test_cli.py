@@ -25,6 +25,11 @@ def test_run_with_overrides_writes_dumps(tmp_path, capsys):
     assert "steps 2" in captured
     assert (out / "s_000002.txt").exists()
     assert (out / "p_000002.txt").exists()
+    # a dump's header names the grid, the time and the field, and its
+    # rows are the nodes' values, in the mobile range for s
+    assert (out / "s_000002.txt").read_text().startswith("# 8 8 0.1 s\n")
+    s = np.loadtxt(out / "s_000002.txt")
+    assert s.shape == (9, 9) and 0.1 <= s.min() and s.max() <= 0.8
 
 
 def test_config_file_feeds_the_run(tmp_path, capsys):
@@ -33,6 +38,12 @@ def test_config_file_feeds_the_run(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg)])
     assert code == 0
     assert "steps 2" in capsys.readouterr().out
+    # dump_every = 2 dumps s, c and p at steps 0, 2 and 4, one line each
+    cfg.write_text("dump_every = 2\n")
+    assert cli.main(["run", "--config", str(cfg), "--nx", "8", "--dt", "0.05",
+                     "--tstop", "0.2", "--out", str(tmp_path / "every2")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("wrote ") for line in lines) == 9
 
 
 def test_run_config_defaults_are_the_petro_defaults():
@@ -58,6 +69,19 @@ def test_flag_overrides_beat_the_file(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg), "--tstop", "0.1"])
     assert code == 0
     assert "t_final 0.1" in capsys.readouterr().out
+    # flags alone: the default dt, a shortened last step, a breakthrough,
+    # and point wells on grids that coarsen
+    for flags, summary in (
+            (["--tstop", "0.1"], "steps 5  t_final 0.1  breakthrough -"),
+            (["--dt", "0.03", "--tstop", "0.1"],
+             "steps 4  t_final 0.1  breakthrough -"),
+            (["--dt", "0.05", "--tstop", "5"],
+             "steps 17  t_final 0.85  breakthrough 0.85")):
+        assert cli.main(["run", "--nx", "8", *flags]) == 0
+        assert capsys.readouterr().out.startswith(summary + "\n"), flags
+    for nx in ("24", "40"):
+        assert cli.main(["run", "--nx", nx, "--tstop", "0.04"]) == 0
+        assert "t_final 0.04" in capsys.readouterr().out, nx
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -128,6 +152,10 @@ def test_invalid_flag_value_exits_2(tmp_path, capsys):
                      "--reference", "16.5", "--tstop", "0.1"]) == 2
     err = capsys.readouterr().err
     assert "at least 2" in err and "16.5" in err
+    assert cli.main(["study-spatial", "--levels", "4.5,8",
+                     "--reference", "16", "--tstop", "0.1"]) == 2
+    assert capsys.readouterr().err == ("config error: grid sizes must be "
+                                       "integers of at least 2, got 4.5\n")
     assert cli.main(["study-spatial", "--levels", "4,x",
                      "--reference", "16", "--tstop", "0.1"]) == 2
     assert capsys.readouterr().err == ("config error: expected a number, "
@@ -177,7 +205,7 @@ def test_a_ladder_that_does_not_halve_exits_2(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("radius", 0.0), ("radius", 1.5), ("dump_every", -1), ("mu_w", 0.0),
-    ("s0", 0.05), ("threshold", 1.0)])
+    ("s0", 0.05), ("s0", 0.9), ("threshold", 1.0)])
 def test_a_value_outside_its_range_is_a_config_error(key, value, tmp_path,
                                                      capsys):
     # mu_w = 0 is PetroModel's ValueError, raised again as a ConfigError
@@ -188,6 +216,8 @@ def test_a_value_outside_its_range_is_a_config_error(key, value, tmp_path,
     assert cli.main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if key == "s0":  # below or above the mobile range of the default laws
+        assert "mobile range [0.1, 0.8]" in err
 
 
 def test_a_line_without_an_equals_sign_names_its_path_and_line(tmp_path):
@@ -370,6 +400,9 @@ def test_spatial_study_writes_csv(tmp_path, capsys):
     assert csv[0] == "variable,h,dt,e2,order2,emax,orderinf,time"
     assert len(csv) == 7                        # 2 levels x 3 variables
     assert {line.split(",")[0] for line in csv[1:]} == {"s", "p", "v"}
+    # grouped by variable, in the order s, p, v
+    assert [line.split(",")[0] for line in csv[1:]] == ["s", "s", "p", "p",
+                                                        "v", "v"]
     assert "wrote" in capsys.readouterr().out
 
 
@@ -378,6 +411,8 @@ def test_a_study_of_a_zero_pressure_leaves_its_orders_blank(tmp_path, capsys):
     # are 0; the study once ended in observed_order's ValueError, exit 1
     cfg = tmp_path / "noflow.cfg"
     cfg.write_text("N = 8\nQ = 0\n")
+    assert cli.main(["run", "--config", str(cfg), "--tstop", "0.1"]) == 0
+    assert "t_final 0.1" in capsys.readouterr().out
     assert cli.main(["study-spatial", "--config", str(cfg), "--levels", "4,8",
                      "--reference", "16", "--tstop", "0.1",
                      "--out", str(tmp_path)]) == 0
@@ -447,6 +482,7 @@ def test_temporal_study_writes_csv(tmp_path, capsys):
     csv = (tmp_path / "temporal_study.csv").read_text().splitlines()
     assert len(csv) == 3                        # saturation rows only
     assert csv[1].startswith("s,0.125,0.05,")
+    assert [line.split(",")[0] for line in csv[1:]] == ["s", "s"]
     capsys.readouterr()
 
 

@@ -13,6 +13,7 @@ import polyflood.pressure
 import polyflood.transport
 from polyflood.config import ConfigError, RunConfig
 from polyflood.grids import Grid2, time_step
+from polyflood.harness import RefinementStudy, run_spatial_study, run_temporal_study
 from polyflood.linsolve import SolverError
 from polyflood.petro import PetroModel
 from polyflood.pressure import (WellConfig, assemble_pressure, recover_velocity,
@@ -296,6 +297,18 @@ def test_well_sources_are_built_once_per_run():
     steps = run_simulation(RunConfig(N=24, tstop=0.1, well_radius=0.2)).summary.steps
     info = polyflood.pressure._well_sources.cache_info()
     assert steps == 5 and info.misses == 1 and info.hits == 3 * steps - 1
+    # a spatial study on 4, 8 and 16 cells and a temporal one on 8 at
+    # another Q take one entry per (shape, wells); a repeat builds none
+    polyflood.pressure._well_sources.cache_clear()
+    base = RunConfig(dt=0.05, tstop=0.1, Q=1.0, well_radius=0.2)
+    studies = (RefinementStudy("spatial", (4, 8), 16, base),
+               RefinementStudy("temporal", (0.05, 0.025), 0.0125,
+                               replace(base, N=8, Q=1.5)))
+    for repeat in range(2):
+        run_spatial_study(studies[0])
+        run_temporal_study(studies[1])
+        info = polyflood.pressure._well_sources.cache_info()
+        assert (info.misses, info.currsize) == (4, 4), repeat
 
 
 def water_balance(cfg, monkeypatch):
