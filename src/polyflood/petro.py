@@ -32,11 +32,14 @@ kro are formed when the mobilities read them and are not kept.  Every
 quantity keeps the operation order of its closed form, so a shared value
 is bit-identical to one computed alone.  A kept quantity is a _field:
 functools.cached_property without the lock that Python 3.11 takes on
-each first read, of which a step makes 48.  The PetroModel law methods
-are one-field views of a fresh evaluation.  A transport step evaluates
-each pair it needs once: (s, c) for the saturation feet, df/dc and the
-well term, (sbar, c) for the face diffusion and (s_new, c) for the
-concentration feet, and drops each evaluation once its fields are taken.
+each first read, of which a step makes 34.  The PetroModel law methods
+are one-field views of a fresh evaluation.  A step evaluates three
+pairs, each once, and drops each evaluation once its fields are taken:
+(s, c) in simulate.advance, whose lam gives the element coefficients
+that pressure assembly and velocity recovery share and whose f, df/ds
+and df/dc the saturation step reads for its feet, df/dc and well term;
+(sbar, c) for the face diffusion; and (s_new, c) for the concentration
+feet.
 """
 
 from __future__ import annotations

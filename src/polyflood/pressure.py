@@ -10,7 +10,7 @@ cell is split along its anti-diagonal into two P1 triangles, and the
 element coefficient K*lam is taken as the arithmetic mean of its three
 vertex values.  Per-triangle data is held as a (2, ny, nx) array, lower
 then upper triangle of each cell, sliced from the nodal arrays; the split
-itself is stated once, in `_element_coefficients`.  Assembly is per edge:
+itself is stated once, in `element_coefficients`.  Assembly is per edge:
 every grid edge sums the stiffness of its two neighbouring triangles into
 one face coefficient, and the anti-diagonal split couples no diagonal
 neighbours, so the operator is a 5-point one.  It is symmetric positive
@@ -34,8 +34,8 @@ import numpy as np
 from .grids import Grid2
 from .linsolve import SparseSystem, five_point, multigrid, pinned, solve_cg
 
-__all__ = ["WellConfig", "injection_density", "assemble_pressure",
-           "solve_pressure", "recover_velocity"]
+__all__ = ["WellConfig", "injection_density", "element_coefficients",
+           "assemble_pressure", "solve_pressure", "recover_velocity"]
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ def injection_density(grid: Grid2, wells: WellConfig) -> np.ndarray:
     return _well_sources(grid.nx, grid.ny, wells)[1]
 
 
-def _element_coefficients(grid: Grid2, s, c, model, K):
-    """Per-triangle K*lam, the arithmetic mean of the three vertex values.
+def element_coefficients(grid: Grid2, lam, K=1.0):
+    """Per-triangle K*lam from the nodal total mobility lam, the
+    arithmetic mean of the three vertex values.
 
     This is the one statement of the P1 split.  Each cell (i, j) is cut
     along its anti-diagonal into a lower triangle with vertices (i, j),
@@ -119,7 +120,6 @@ def _element_coefficients(grid: Grid2, s, c, model, K):
     (i+1, j+1), (i, j+1).  Per-triangle data is held as a (2, ny, nx)
     array indexed [triangle, j, i], lower triangle first.
     """
-    _, _, lam = model.mobilities(s, c)
     coef = (np.asarray(K, dtype=float) * lam).reshape(grid.shape)
     tri = np.empty((2, grid.ny, grid.nx))
     tri[0] = (coef[:-1, :-1] + coef[:-1, 1:] + coef[1:, :-1]) / 3.0
@@ -131,16 +131,20 @@ def _element_coefficients(grid: Grid2, s, c, model, K):
 
 def assemble_pressure(grid: Grid2, s, c, model,
                       wells: WellConfig = WellConfig(rate=0.0),
-                      K=1.0) -> SparseSystem:
+                      K=1.0, coef=None) -> SparseSystem:
     """Assemble the pure-Neumann pressure system with corner well sources;
-    the default, a zero rate, gives a zero right-hand side.
+    the default, a zero rate, gives a zero right-hand side.  coef, when
+    given, is element_coefficients of the mobility at (s, c) with K, and
+    is read in place of evaluating the laws.
 
     A horizontal edge is the bottom edge of a lower triangle and the top
     edge of the upper triangle below it; a vertical edge is the left edge
     of a lower triangle and the right edge of the upper triangle to its
     left.  Each edge sums the stiffness coupling of those two triangles.
     """
-    lower, upper = _element_coefficients(grid, s, c, model, K)
+    if coef is None:
+        coef = element_coefficients(grid, model.mobilities(s, c)[2], K)
+    lower, upper = coef
     # within one triangle an x edge couples its end nodes by area/hx^2
     # times the element coefficient, a y edge by area/hy^2
     area = grid.hx * grid.hy / 2.0
@@ -182,15 +186,16 @@ def solve_pressure(system: SparseSystem, grid: Grid2, tol: float = 1e-10,
     return p.reshape(grid.shape)
 
 
-def recover_velocity(grid: Grid2, p, s, c, model, K=1.0):
+def recover_velocity(grid: Grid2, p, s, c, model, K=1.0, coef=None):
     """Total velocity -K lam grad p, averaged from triangles to nodes.
 
     The per-triangle P1 gradient is constant; each node receives the mean
     of the velocities of its adjacent triangles, summed in triangle order
     (cell by cell, lower before upper).  Returns (vx, vy) arrays of shape
-    (ny+1, nx+1).
+    (ny+1, nx+1).  coef is read as in assemble_pressure.
     """
-    coef = _element_coefficients(grid, s, c, model, K)
+    if coef is None:
+        coef = element_coefficients(grid, model.mobilities(s, c)[2], K)
     p = np.asarray(p).reshape(grid.shape)
     dx = (p[:, 1:] - p[:, :-1]) / grid.hx
     dy = (p[1:] - p[:-1]) / grid.hy

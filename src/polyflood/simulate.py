@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import RunConfig
 from .grids import Grid2, time_step, write_field
 from .linsolve import SolverError
-from .pressure import assemble_pressure, recover_velocity, solve_pressure
+from .pressure import (assemble_pressure, element_coefficients, recover_velocity,
+                       solve_pressure)
 from .transport import State, StepParams, concentration_step, saturation_step
 
 __all__ = ["RunSummary", "RunResult", "init_state", "advance", "run_simulation"]
@@ -84,15 +86,26 @@ def advance(state: State, model, params: StepParams) -> State:
     or a NaN fails in that step; underflow stays silent.
     """
     grid = state.grid
+    # the (s, c) pair is evaluated once: pressure and velocity share its
+    # element coefficients, the saturation step its f, df/ds and df/dc,
+    # and the rest of the evaluation is dropped before the pressure solve
+    laws = model.evaluate(state.s, state.c)
+    coef = element_coefficients(grid, laws.lam, params.K)
+    kept = [SimpleNamespace(f=laws.f, df_ds=laws.df_ds, df_dc=laws.df_dc)]
+    del laws
     # the pressure system is dropped once solved, before transport builds
     # its own system and multigrid hierarchy
-    system = assemble_pressure(grid, state.s, state.c, model, params.wells, K=params.K)
+    system = assemble_pressure(grid, state.s, state.c, model, params.wells,
+                               K=params.K, coef=coef)
     p = solve_pressure(system, grid, x0=state.p)
     del system
-    vx, vy = recover_velocity(grid, p, state.s, state.c, model, K=params.K)
+    vx, vy = recover_velocity(grid, p, state.s, state.c, model, K=params.K, coef=coef)
+    del coef
 
     flow = State(grid, state.t, state.s, state.c, p, vx, vy)
-    s_new = saturation_step(flow, model, params)
+    # handed over, not kept, so the saturation step drops the three fields
+    # once its right-hand side has them, as it drops its own evaluation
+    s_new = saturation_step(flow, model, params, laws=kept.pop())
     c_new = concentration_step(flow, s_new, model, params)
     return State(grid, state.t + params.dt, s_new, c_new, p, vx, vy)
 

@@ -69,11 +69,13 @@ class State:
 @dataclass(frozen=True)
 class StepParams:
     """Per-step data: pressure and velocity read K and the wells, transport
-    all of it, the saturation solve lin_tol.  Default wells have rate 0."""
+    all of it, the saturation solve lin_tol.  K is a positive finite
+    scalar or a nodal array of positive finite values.  Default wells
+    have rate 0."""
 
     dt: float
     phi: float = 1.0
-    K: float = 1.0
+    K: float | np.ndarray = 1.0
     wells: WellConfig = WellConfig(rate=0.0)
     lin_tol: float = 1e-12
 
@@ -83,6 +85,9 @@ class StepParams:
             raise ValueError("time step must be positive and finite")
         if not 0.0 < self.phi < math.inf:
             raise ValueError("porosity must be positive and finite")
+        K = np.asarray(self.K, dtype=float)
+        if not ((K > 0.0) & (K < math.inf)).all():
+            raise ValueError("permeability K must be positive and finite")
 
 
 def trace_feet_saturation(state: State, laws, params: StepParams):
@@ -112,14 +117,16 @@ def trace_feet_concentration(state: State, s_new, laws, params: StepParams):
     return clamp_to_unit(X - scale * ax), clamp_to_unit(Y - scale * ay)
 
 
-def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
+def saturation_step(state: State, model, params: StepParams,
+                    laws=None) -> np.ndarray:
     """One implicit MMOC saturation update; returns the clamped new field.
 
-    The ghost-reflection equations are scaled by the trapezoidal node
-    weights before assembly.  That leaves every nodal equation unchanged
-    (it is a row scaling) but makes the matrix symmetric positive definite,
-    so conjugate gradients applies, with multigrid(A, grid) as its
-    preconditioner.
+    laws, when given, stands for model.evaluate(state.s, state.c): any
+    object with its f, df_ds and df_dc.  The ghost-reflection equations
+    are scaled by the trapezoidal node weights before assembly.  That
+    leaves every nodal equation unchanged (it is a row scaling) but makes
+    the matrix symmetric positive definite, so conjugate gradients
+    applies, with multigrid(A, grid) as its preconditioner.
     """
     grid = state.grid
     hx, hy = grid.hx, grid.hy
@@ -127,7 +134,8 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
 
     # the (s, c) pair gives the feet, df/dc and the well term, and is
     # dropped once the right-hand side has them
-    laws = model.evaluate(state.s, state.c)
+    if laws is None:
+        laws = model.evaluate(state.s, state.c)
     xbar, ybar = trace_feet_saturation(state, laws, params)
     sbar = interp_bilinear(grid, state.s, xbar, ybar)
     dcdx = gradient(state.c, hx, axis=1)
@@ -137,7 +145,7 @@ def saturation_step(state: State, model, params: StepParams) -> np.ndarray:
     del laws
 
     # face coefficients from the traced saturation and old concentration
-    Dn = model.evaluate(sbar, state.c, params.K).D
+    Dn = model.capillary_diffusion(sbar, state.c, params.K)
     Dabs_x = -(Dn[:, :-1] + Dn[:, 1:]) / 2.0
     Dabs_y = -(Dn[:-1, :] + Dn[1:, :]) / 2.0
     if (Dabs_x < 0.0).any() or (Dabs_y < 0.0).any():

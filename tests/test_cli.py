@@ -378,11 +378,11 @@ def test_a_failure_that_is_not_numerical_propagates_after_a_dump(
     step = simulate.saturation_step
     calls = []
 
-    def second_call_fails(*args):
+    def second_call_fails(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
             raise MemoryError("Unable to allocate 1.00 TiB")
-        return step(*args)
+        return step(*args, **kwargs)
     monkeypatch.setattr(simulate, "saturation_step", second_call_fails)
     out = tmp_path / "fields"
     assert cli.main(["run", "--nx", "8", "--tstop", "0.1", "--out", str(out)]) == 3

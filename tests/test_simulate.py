@@ -10,12 +10,13 @@ import pytest
 
 import polyflood.linsolve
 import polyflood.pressure
+import polyflood.simulate
 import polyflood.transport
 from polyflood.config import ConfigError, RunConfig
 from polyflood.grids import Grid2, time_step
 from polyflood.harness import RefinementStudy, run_spatial_study, run_temporal_study
 from polyflood.linsolve import SolverError
-from polyflood.petro import PetroModel
+from polyflood.petro import PairLaws, PetroModel
 from polyflood.pressure import (WellConfig, assemble_pressure, recover_velocity,
                                 solve_pressure)
 from polyflood.simulate import RunSummary, advance, init_state, run_simulation
@@ -72,6 +73,25 @@ def test_every_reader_of_the_mobile_range_agrees():
         RunConfig(s_ra=0.15, s_ro=0.25, s0=0.8)
 
 
+def stage_by_stage(state, model, params):
+    """One step as the five stage functions called by hand, each with its
+    own law evaluations."""
+    g, s, c = state.grid, state.s, state.c
+    system = assemble_pressure(g, s, c, model, params.wells, K=params.K)
+    p = solve_pressure(system, g, x0=state.p)
+    vx, vy = recover_velocity(g, p, s, c, model, K=params.K)
+    flow = State(g, state.t, s, c, p, vx, vy)
+    s_new = saturation_step(flow, model, params)
+    c_new = concentration_step(flow, s_new, model, params)
+    return State(g, state.t + params.dt, s_new, c_new, p, vx, vy)
+
+
+def assert_same_state(state, expected):
+    assert state.t == expected.t
+    for name in ("s", "c", "p", "vx", "vy"):
+        assert np.array_equal(getattr(state, name), getattr(expected, name)), name
+
+
 def test_advance_takes_k_and_the_wells_from_params():
     # every stage sees the K, wells and dt of one StepParams: three steps
     # equal, bit for bit, the five stage functions called by hand
@@ -80,20 +100,50 @@ def test_advance_takes_k_and_the_wells_from_params():
     state = expected = init_state(RunConfig(N=12))
     for _ in range(3):
         state = advance(state, model, params)
-
-        g, s, c = expected.grid, expected.s, expected.c
-        system = assemble_pressure(g, s, c, model, params.wells, K=params.K)
-        p = solve_pressure(system, g, x0=expected.p)
-        vx, vy = recover_velocity(g, p, s, c, model, K=params.K)
-        flow = State(g, expected.t, s, c, p, vx, vy)
-        s_new = saturation_step(flow, model, params)
-        c_new = concentration_step(flow, s_new, model, params)
-        expected = State(g, expected.t + params.dt, s_new, c_new, p, vx, vy)
-
-        assert state.t == expected.t
-        for name in ("s", "c", "p", "vx", "vy"):
-            assert np.array_equal(getattr(state, name), getattr(expected, name)), name
+        expected = stage_by_stage(expected, model, params)
+        assert_same_state(state, expected)
     assert np.any(expected.vx != 0.0) and expected.c[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("n, nodal", [(8, False), (33, False), (33, True)],
+                         ids=["N8", "N33-multilevel", "N33-nodal-K"])
+def test_an_advance_evaluates_each_pair_once(n, nodal, monkeypatch):
+    # advance evaluates the laws at (s, c), (sbar, c) and (s_new, c) once
+    # each, and pressure and velocity share one element-coefficient
+    # array; the stages called by hand evaluate (s, c) three times and
+    # build the array twice, and give the same bits
+    cfg = RunConfig(N=n, dt=0.05, Q=1.0, well_radius=0.2)
+    K = cfg.K
+    if nodal:
+        z = np.random.default_rng(n).normal(size=(n + 1, n + 1))
+        K = np.exp(0.38 * (z + z.T))
+    model, params = cfg.petro(), StepParams(cfg.dt, cfg.phi, K, cfg.wells())
+    counts = {"laws": 0, "coef": 0}
+
+    init = PairLaws.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["laws"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(PairLaws, "__init__", counted_init)
+    build = polyflood.pressure.element_coefficients
+
+    def counted_build(*args, **kwargs):
+        counts["coef"] += 1
+        return build(*args, **kwargs)
+    for module in (polyflood.simulate, polyflood.pressure):
+        monkeypatch.setattr(module, "element_coefficients", counted_build)
+
+    state = expected = init_state(cfg)
+    for _ in range(2):
+        counts.update(laws=0, coef=0)
+        state = advance(state, model, params)
+        assert counts == {"laws": 3, "coef": 1}
+        counts.update(laws=0, coef=0)
+        expected = stage_by_stage(expected, model, params)
+        assert counts == {"laws": 5, "coef": 2}
+        assert_same_state(state, expected)
+    assert np.any(state.vx != 0.0) and state.c[0, 0] > 0.0
 
 
 def test_zero_duration_run_returns_initial_state():

@@ -181,15 +181,34 @@ def test_step_params_refuse_a_nan_or_infinite_dt_or_phi(dt, phi, message):
         StepParams(dt=dt, phi=phi)
 
 
+@pytest.mark.parametrize("nodal", [False, True], ids=["scalar", "one-node"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf],
+                         ids=["0", "-1", "nan", "inf"])
+def test_step_params_refuse_a_permeability_that_is_not_positive_and_finite(
+        bad, nodal):
+    K = bad
+    if nodal:
+        K = np.full((9, 9), 2.5)
+        K[4, 7] = bad
+    with pytest.raises(ValueError,
+                       match="^permeability K must be positive and finite$"):
+        StepParams(dt=0.02, K=K)
+
+
 def test_negative_face_diffusion_is_refused():
-    # K < 0 flips the sign of the capillary diffusion, so the saturation
-    # matrix would lose its M-matrix property
+    # a capillary diffusion of the wrong sign, which K < 0 would give were
+    # StepParams not to refuse it, would cost the saturation matrix its
+    # M-matrix property
+    class WrongSign(PetroModel):
+        def capillary_diffusion(self, s, c, K=1.0):
+            return -super().capillary_diffusion(s, c, K)
+
     g = Grid2(8, 8)
     X, Y = g.xy
     state = make_state(g, 0.3 + 0.4 * X * Y, 0.0)
     with pytest.raises(ValueError,
                        match="negative face diffusion would break the M-matrix"):
-        saturation_step(state, MODEL, StepParams(dt=0.02, K=-1.0))
+        saturation_step(state, WrongSign(), StepParams(dt=0.02))
 
 
 def test_step_params_validation():
@@ -197,6 +216,9 @@ def test_step_params_validation():
         StepParams(dt=0.0)
     with pytest.raises(ValueError):
         StepParams(dt=0.1, phi=-1.0)
+    # a positive finite nodal K is kept as given
+    K = np.full((5, 5), 2.5)
+    assert StepParams(dt=0.1, K=K).K is K
     g = Grid2(4, 4)
     with pytest.raises(ValueError):
         State(g, 0.0, np.zeros((3, 3)), np.zeros(g.shape), np.zeros(g.shape),
